@@ -67,8 +67,8 @@
 //   ADVBIST_BENCH_MAX_CUTS      cuts per separation round (default: solver)
 //   ADVBIST_BENCH_PROBING=0     disable binary probing in the cuts-on config
 //   ADVBIST_BENCH_RCFIX=0       disable reduced-cost fixing in cuts-on
-//   ADVBIST_BENCH_REFACTOR pivots between basis refactorizations (default:
-//                          solver default)
+//   ADVBIST_BENCH_REFACTOR cap on LU updates between refactorizations
+//                          (default: solver default)
 //   ADVBIST_BENCH_DENSE_LU=1  disable the sparse Markowitz factorization
 //   ADVBIST_BENCH_AUDIT=0  disable the exit audit (A/B for its overhead;
 //                          default on, and the recorded audit_seconds
@@ -132,10 +132,6 @@ struct Row {
   long long hs_pivots = 0;
   long long hs_dense_pivots = 0;
   long long rho_nnz = 0;
-  long long btran_sparse = 0;
-  long long btran_dense = 0;
-  long long ftran_sparse = 0;
-  long long ftran_dense = 0;
   long long bound_flips = 0;
   long long devex_resets = 0;
   int sb_probes = 0;
@@ -466,10 +462,6 @@ int main() {
         row.hs_pivots = s.stats.lp_dual_hypersparse_pivots;
         row.hs_dense_pivots = s.stats.lp_dual_dense_pivots;
         row.rho_nnz = s.stats.lp_dual_rho_nnz;
-        row.btran_sparse = s.stats.lp_dual_btran_sparse;
-        row.btran_dense = s.stats.lp_dual_btran_dense;
-        row.ftran_sparse = s.stats.lp_dual_ftran_sparse;
-        row.ftran_dense = s.stats.lp_dual_ftran_dense;
         row.bound_flips = s.stats.lp_bound_flips;
         row.devex_resets = s.stats.lp_devex_resets;
         row.sb_probes = s.stats.strong_branch_probed;
@@ -598,10 +590,6 @@ int main() {
     row.hs_pivots = s.stats.lp_dual_hypersparse_pivots;
     row.hs_dense_pivots = s.stats.lp_dual_dense_pivots;
     row.rho_nnz = s.stats.lp_dual_rho_nnz;
-    row.btran_sparse = s.stats.lp_dual_btran_sparse;
-    row.btran_dense = s.stats.lp_dual_btran_dense;
-    row.ftran_sparse = s.stats.lp_dual_ftran_sparse;
-    row.ftran_dense = s.stats.lp_dual_ftran_dense;
     row.bound_flips = s.stats.lp_bound_flips;
     row.devex_resets = s.stats.lp_devex_resets;
     row.sb_probes = s.stats.strong_branch_probed;
@@ -715,8 +703,6 @@ int main() {
         "\"dual_solves\": %lld, \"dual_fallbacks\": %lld, "
         "\"hypersparse\": %s, \"hs_pivots\": %lld, "
         "\"hs_dense_pivots\": %lld, \"rho_nnz_mean\": %.1f, "
-        "\"btran_sparse\": %lld, \"btran_dense\": %lld, "
-        "\"ftran_sparse\": %lld, \"ftran_dense\": %lld, "
         "\"bound_flips\": %lld, \"devex_resets\": %lld, \"sb_probes\": %d, "
         "\"sb_fixed\": %d, \"rows_deleted\": %lld, \"peak_rows\": %d, "
         "\"dropped_nodes\": %lld, \"refactorizations\": %lld, "
@@ -739,7 +725,6 @@ int main() {
         r.lp_primal2, r.lp_dual, r.dual_solves, r.dual_fallbacks,
         r.hypersparse ? "true" : "false", r.hs_pivots, r.hs_dense_pivots,
         hs_total > 0 ? static_cast<double>(r.rho_nnz) / hs_total : 0.0,
-        r.btran_sparse, r.btran_dense, r.ftran_sparse, r.ftran_dense,
         r.bound_flips, r.devex_resets, r.sb_probes, r.sb_fixed,
         r.rows_deleted, r.peak_rows, r.dropped_nodes,
         r.refactorizations,

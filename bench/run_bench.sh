@@ -24,7 +24,7 @@
 # off, dual-simplex re-solves on and off (cuts-on config), devex vs
 # dantzig dual pricing (cuts-on/dual-on config), and the hyper-sparse dual
 # ratio test on and off (cuts-on/dual-on/devex config; columns hypersparse,
-# hs_pivots, hs_dense_pivots, rho_nnz_mean, btran/ftran sparse-vs-dense) —
+# hs_pivots, hs_dense_pivots, rho_nnz_mean) —
 # the A/B pairs land in one BENCH_solver.json so the cut/dual/pricing/
 # hypersparse wins stay visible in the perf trajectory; the default
 # configuration additionally records a reliability-probing on/off pair

@@ -132,6 +132,8 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.dense_refactorizations += s.dense_refactorizations;
   into.sparse_fallbacks += s.sparse_fallbacks;
   into.pivot_rejections += s.pivot_rejections;
+  into.lu_updates += s.lu_updates;
+  into.lu_update_rejections += s.lu_update_rejections;
   into.factor_basis_nnz += s.factor_basis_nnz;
   into.factor_fill_nnz += s.factor_fill_nnz;
   into.basis_pivots += s.basis_pivots;
@@ -146,10 +148,6 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.dual_hypersparse_pivots += s.dual_hypersparse_pivots;
   into.dual_dense_pivots += s.dual_dense_pivots;
   into.dual_rho_nnz += s.dual_rho_nnz;
-  into.dual_ftran_sparse += s.dual_ftran_sparse;
-  into.dual_ftran_dense += s.dual_ftran_dense;
-  into.dual_btran_sparse += s.dual_btran_sparse;
-  into.dual_btran_dense += s.dual_btran_dense;
   into.rows_deleted += s.rows_deleted;
   into.peak_rows = std::max(into.peak_rows, s.peak_rows);
   into.recovery_refactorize += s.recovery_refactorize;
@@ -2037,6 +2035,8 @@ Solution Solver::solve_impl(const Model& input,
   sol.stats.lp_sparse_refactorizations = ctx.lp_stats.sparse_refactorizations;
   sol.stats.lp_sparse_fallbacks = ctx.lp_stats.sparse_fallbacks;
   sol.stats.lp_pivot_rejections = ctx.lp_stats.pivot_rejections;
+  sol.stats.lp_lu_updates = ctx.lp_stats.lu_updates;
+  sol.stats.lp_lu_update_rejections = ctx.lp_stats.lu_update_rejections;
   sol.stats.lp_fill_ratio = ctx.lp_stats.fill_ratio();
   sol.stats.lp_primal_phase1_iterations =
       ctx.lp_stats.primal_phase1_iterations;
@@ -2053,10 +2053,6 @@ Solution Solver::solve_impl(const Model& input,
   sol.stats.lp_dual_hypersparse_pivots = ctx.lp_stats.dual_hypersparse_pivots;
   sol.stats.lp_dual_dense_pivots = ctx.lp_stats.dual_dense_pivots;
   sol.stats.lp_dual_rho_nnz = ctx.lp_stats.dual_rho_nnz;
-  sol.stats.lp_dual_ftran_sparse = ctx.lp_stats.dual_ftran_sparse;
-  sol.stats.lp_dual_ftran_dense = ctx.lp_stats.dual_ftran_dense;
-  sol.stats.lp_dual_btran_sparse = ctx.lp_stats.dual_btran_sparse;
-  sol.stats.lp_dual_btran_dense = ctx.lp_stats.dual_btran_dense;
   sol.stats.lp_recovery_refactorize = ctx.lp_stats.recovery_refactorize;
   sol.stats.lp_recovery_tighten = ctx.lp_stats.recovery_tighten;
   sol.stats.lp_recovery_dense = ctx.lp_stats.recovery_dense;

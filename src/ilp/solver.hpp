@@ -117,8 +117,9 @@ struct Options {
   int num_threads = 1;
   // --- LP basis-factorization knobs (forwarded to every worker's simplex,
   // see lp::SimplexOptions) ---
-  /// Pivots between basis refactorizations (see lp::SimplexOptions).
-  int lp_refactor_every = 50;
+  /// Upper cap on the LU updates between basis refactorizations (see
+  /// lp::SimplexOptions::refactor_every).
+  int lp_refactor_every = 200;
   /// Sparse Markowitz LU (default); false = dense partial-pivot sweep only.
   bool lp_sparse_factorization = true;
   /// Relative threshold-pivoting tolerance for Markowitz pivots in (0, 1].
@@ -302,6 +303,9 @@ struct Stats {
   long long lp_sparse_refactorizations = 0;  ///< via Markowitz elimination
   long long lp_sparse_fallbacks = 0;  ///< Markowitz singular -> dense sweep
   long long lp_pivot_rejections = 0;  ///< threshold-rejected pivot candidates
+  long long lp_lu_updates = 0;  ///< basis changes absorbed by an LU update
+  /// LU updates that failed their stability test and refactorized instead.
+  long long lp_lu_update_rejections = 0;
   /// Mean nnz(L+U) / nnz(B) over all refactorizations (1.0 = no fill).
   double lp_fill_ratio = 1.0;
   // --- dual re-solves + LP row aging (summed over workers) ---
@@ -327,13 +331,6 @@ struct Stats {
   /// Sum of nnz(rho) over all dual pivots (sparse and dense alike); divide
   /// by the pivot count for the mean BTRANed-row density.
   long long lp_dual_rho_nnz = 0;
-  /// Entering/bound-flip FTRANs solved with pattern tracking vs densely
-  /// (the adaptive density gate picks per solve).
-  long long lp_dual_ftran_sparse = 0;
-  long long lp_dual_ftran_dense = 0;
-  /// Pivot-row BTRANs solved with pattern tracking vs densely.
-  long long lp_dual_btran_sparse = 0;
-  long long lp_dual_btran_dense = 0;
   // --- root strong branching (seeds the shared pseudocost store) ---
   int strong_branch_probed = 0;  ///< bounded probe re-solves performed
   int strong_branch_fixed = 0;   ///< variables fixed by an infeasible probe

@@ -28,7 +28,9 @@ bool parse_dual_pricing(const std::string& name, DualPricing& out) {
 }
 
 SimplexSolver::SimplexSolver(const Model& model, Options options)
-    : opt_(options), cfg_markowitz_tol_(options.markowitz_tol) {
+    : opt_(options),
+      cfg_markowitz_tol_(options.markowitz_tol),
+      cfg_pivot_tol_(options.pivot_tol) {
   n_ = model.num_variables();
   m_ = model.num_constraints();
   initial_m_ = m_;
@@ -109,7 +111,6 @@ SimplexSolver::SimplexSolver(const Model& model, Options options)
   cperm_.assign(m_, 0);
   u_diag_.assign(m_, 0.0);
   work_.assign(m_, 0.0);
-  work2_.assign(m_, 0.0);
   rebuild_row_mirror();
 }
 
@@ -162,50 +163,49 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
   const int old_m = m_;
   const int add = static_cast<int>(rows.size());
 
-  // The factorization extension below needs factors that describe the
-  // *current* basis. The eta file is empty exactly when they do (every
-  // pivot appends an eta; refactorization clears them), so compact first
-  // when needed. A basis singular under both factorization paths falls
-  // back to a cold start at the new size.
-  bool extend = has_basis_;
-  if (extend && !eta_row_.empty() && !refactorize()) {
-    has_basis_ = false;
-    extend = false;
-  }
+  // The LU update keeps the factors describing the current basis, so the
+  // extension below borders them directly; only factors a failed update
+  // left unusable are rebuilt first. A basis singular under both
+  // factorization paths falls back to a cold start at the new size.
+  const bool extend = ensure_factors();
 
-  // Border rows l' of the extended L, computed against the old factors:
-  // l' U = g where g is the new row over the basic columns in factor-column
-  // order. Solved before any array is resized.
-  std::vector<std::vector<std::pair<int, double>>> border(add);
+  // Border rows l' = g' U^-1 R of the extended L, where g is the new row
+  // over the basic columns in factor order; each becomes the L row eta of
+  // its new factor index old_m + i. Solved before any array is resized.
   if (extend) {
     std::vector<int> basis_pos(total_, -1);
     for (int j = 0; j < old_m; ++j) basis_pos[basis_[j]] = j;
-    std::vector<double> g(old_m);
+    std::vector<double>& q = work_;
+    q.resize(old_m);
     for (int i = 0; i < add; ++i) {
-      std::fill(g.begin(), g.end(), 0.0);
+      std::fill(q.begin(), q.end(), 0.0);
       bool any = false;
       for (const Term& t : rows[i].terms) {
         ADVBIST_REQUIRE(t.var >= 0 && t.var < n_, "cut row variable index");
         const int bp = basis_pos[t.var];
         if (bp >= 0) {
-          g[bp] = t.coeff;
+          q[cperm_inv_[bp]] = t.coeff;
           any = true;
         }
       }
-      if (!any) continue;
-      std::vector<double>& q = work_;
-      q.resize(old_m);
-      for (int k = 0; k < old_m; ++k) q[k] = g[cperm_[k]];
-      // Forward solve l' U = g over the sparse U columns (the same
-      // recurrence as btran's transposed U step).
-      for (int j = 0; j < old_m; ++j) {
-        double acc = q[j];
-        for (int p = u_start_[j]; p < u_start_[j + 1]; ++p)
-          acc -= q[u_idx_[p]] * u_val_[p];
-        q[j] = acc / u_diag_[j];
+      if (any) {
+        // l' U = g' over the U sequence (btran's transposed U step), then
+        // l' <- l' R (btran's row-eta step).
+        for (const int j : u_seq_) {
+          if (j < 0) continue;
+          double acc = q[j];
+          const int end = u_beg_[j] + u_len_[j];
+          for (int p = u_beg_[j]; p < end; ++p) acc -= q[u_idx_[p]] * u_val_[p];
+          q[j] = acc / u_diag_[j];
+        }
+        ft_etas_.btran(q);
+        for (int k = 0; k < old_m; ++k) {
+          if (std::abs(q[k]) <= 1e-14) continue;
+          l_rows_.idx.push_back(k);
+          l_rows_.val.push_back(q[k]);
+        }
       }
-      for (int k = 0; k < old_m; ++k)
-        if (std::abs(q[k]) > 1e-14) border[i].emplace_back(k, q[k]);
+      l_rows_.close(old_m + i);
     }
   }
 
@@ -270,50 +270,21 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
   stats_.peak_rows = std::max(stats_.peak_rows, m_);
 
   if (extend) {
-    // Extend the factors: identity rows/columns in P, Q and U, border rows
-    // in L. L is stored by column, so rebuild it once with the border
-    // entries appended to their columns (entry row old_m + i is always
-    // below its column k < old_m, preserving triangularity).
+    // Extend the factors: identity rows/columns in P, Q and U (each new
+    // index is trivial in U: empty column, unit diagonal); the border rows
+    // are already in l_rows_, and L's columns gain no entries.
     for (int i = 0; i < add; ++i) {
-      perm_.push_back(old_m + i);
-      cperm_.push_back(old_m + i);
+      const int k = old_m + i;
+      perm_.push_back(k);
+      cperm_.push_back(k);
+      cperm_inv_.push_back(k);
       u_diag_.push_back(1.0);
-      u_start_.push_back(u_start_.back());
+      u_beg_.push_back(0);
+      u_len_.push_back(0);
+      u_seq_pos_.push_back(-1);  // trivial: implicitly first in the order
     }
-    std::vector<int> lextra(m_, 0);
-    int lextra_total = 0;
-    for (int i = 0; i < add; ++i)
-      for (const auto& [k, val] : border[i]) {
-        (void)val;
-        ++lextra[k];
-        ++lextra_total;
-      }
-    if (lextra_total > 0) {
-      std::vector<int> nls(m_ + 1, 0);
-      for (int k = 0; k < m_; ++k) {
-        const int old_len =
-            k < old_m ? l_start_[k + 1] - l_start_[k] : 0;
-        nls[k + 1] = nls[k] + old_len + lextra[k];
-      }
-      std::vector<int> nli(nls[m_]);
-      std::vector<double> nlv(nls[m_]);
-      std::vector<int> fill(nls.begin(), nls.end() - 1);
-      for (int k = 0; k < old_m; ++k)
-        for (int p = l_start_[k]; p < l_start_[k + 1]; ++p) {
-          nli[fill[k]] = l_idx_[p];
-          nlv[fill[k]++] = l_val_[p];
-        }
-      for (int i = 0; i < add; ++i)
-        for (const auto& [k, val] : border[i]) {
-          nli[fill[k]] = old_m + i;
-          nlv[fill[k]++] = val;
-        }
-      l_start_ = std::move(nls);
-      l_idx_ = std::move(nli);
-      l_val_ = std::move(nlv);
-    } else {
-      l_start_.resize(m_ + 1, l_start_[old_m]);
-    }
+    l_start_.resize(m_ + 1, l_start_[old_m]);
+    spike_valid_ = false;
   } else {
     has_basis_ = false;  // next solve() cold-starts at the new size
   }
@@ -323,10 +294,7 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
   // weights (the row dimension changed).
   candidates_.clear();
   dual_w_valid_ = false;
-  // The bordered extension changed L and the permutations, and the CSC
-  // arrays grew: rebuild the hypersparse side through its choke points.
-  factor_patterns_valid_ = false;
-  dual_rho_clean_ = false;  // dual_rho_ is sized for the old row count
+  // The CSC arrays grew: rebuild the row mirror through its choke point.
   rebuild_row_mirror();
 }
 
@@ -361,11 +329,12 @@ void SimplexSolver::cold_start() {
     basis_[r] = n_ + r;
     vstat_[n_ + r] = kBasic;
   }
-  // The all-slack basis is the identity: trivial factors, empty eta file.
+  // The all-slack basis is the identity: trivial factors, no updates.
   l_start_.assign(m_ + 1, 0);
   l_idx_.clear();
   l_val_.clear();
-  u_start_.assign(m_ + 1, 0);
+  u_beg_.assign(m_, 0);
+  u_len_.assign(m_, 0);
   u_idx_.clear();
   u_val_.clear();
   u_diag_.assign(m_, 1.0);
@@ -373,22 +342,9 @@ void SimplexSolver::cold_start() {
   cperm_.resize(m_);
   for (int r = 0; r < m_; ++r) perm_[r] = r;
   for (int r = 0; r < m_; ++r) cperm_[r] = r;
-  clear_etas();
+  reset_updates();
   candidates_.clear();
-  pivots_since_refactor_ = 0;
   has_basis_ = true;
-  dual_w_valid_ = false;  // all-slack basis: stale dual pricing weights
-}
-
-void SimplexSolver::clear_etas() {
-  eta_row_.clear();
-  eta_diag_.clear();
-  eta_start_.assign(1, 0);
-  eta_idx_.clear();
-  eta_val_.clear();
-  // Every caller just replaced the L/U factors (refactorization or cold
-  // start), so the transposed factor patterns are stale.
-  factor_patterns_valid_ = false;
 }
 
 void SimplexSolver::compute_basic_values() {
@@ -409,6 +365,9 @@ void SimplexSolver::compute_basic_values() {
 }
 
 bool SimplexSolver::refactorize() {
+  // Both paths overwrite the factors as they go: they describe basis_ again
+  // only once one of them succeeds.
+  factors_valid_ = false;
   // Fault-injection hook: a forced "singular" verdict fails the WHOLE
   // refactorization (sparse and dense path alike), so the callers'
   // recovery ladder is exercised exactly like a real rank drop would —
@@ -445,8 +404,17 @@ bool SimplexSolver::escalate_recovery() {
       case 1:
         ++stats_.recovery_tighten;
         // More stability, more fill: admit only pivots within 5x of the
-        // column max. Restored to the configured value on the next solve.
+        // column max, and refuse ratio-test pivots under 100x the pivot
+        // tolerance (capped at 1e-7) — a repeatedly rejected LU update is
+        // a simplex pivot on FTRAN noise that fresh factors reproduce.
+        // Trouble that survived a fresh refactorization also means drift
+        // builds up fast, so the update chain is cut short for the next
+        // kShortChainIterations iterations. The tolerances are restored
+        // to the configured values on the next solve.
         opt_.markowitz_tol = std::min(0.99, opt_.markowitz_tol * 5.0);
+        opt_.pivot_tol = std::max(opt_.pivot_tol,
+                                  std::min(1e-7, opt_.pivot_tol * 100.0));
+        short_chain_until_ = iterations_ + kShortChainIterations;
         if (refactorize()) {
           compute_basic_values();
           return true;
@@ -489,12 +457,17 @@ bool SimplexSolver::refactorize_markowitz() {
   MarkowitzWorkspace& w = mw_;
   w.rows.resize(m);
   w.cl.resize(m);
-  w.ucols.resize(m);
   for (int i = 0; i < m; ++i) w.rows[i].clear();
-  for (int j = 0; j < m; ++j) {
-    w.cl[j].clear();
-    w.ucols[j].clear();
-  }
+  for (int j = 0; j < m; ++j) w.cl[j].clear();
+  w.u_col.clear();
+  w.u_step.clear();
+  w.u_val.clear();
+  w.bhead.assign(m + 1, -1);
+  w.bnext.resize(m);
+  w.bprev.resize(m);
+  w.bmin = m;
+  w.blinked = 0;
+  bool buckets_live = false;
   w.rowcount.assign(m, 0);
   w.colcount.assign(m, 0);
   w.rowpos.assign(m, -1);
@@ -534,6 +507,35 @@ bool SimplexSolver::refactorize_markowitz() {
 
   const double mtol = std::clamp(opt_.markowitz_tol, 1e-4, 1.0);
 
+  // Count buckets of the active columns for the bump search: bucket c is
+  // an intrusive doubly linked list of the columns with colcount c. They
+  // are built when the bump phase first runs (the singleton phases never
+  // read them) and from then on every colcount write goes through
+  // set_colcount, so the buckets always mirror colcount exactly.
+  auto bucket_link = [&](int j) {
+    const int c = std::min(w.colcount[j], m);
+    w.bprev[j] = -1;
+    w.bnext[j] = w.bhead[c];
+    if (w.bhead[c] >= 0) w.bprev[w.bhead[c]] = j;
+    w.bhead[c] = j;
+    w.bmin = std::min(w.bmin, c);
+    ++w.blinked;
+  };
+  auto bucket_unlink = [&](int j) {
+    const int c = std::min(w.colcount[j], m);
+    if (w.bprev[j] >= 0)
+      w.bnext[w.bprev[j]] = w.bnext[j];
+    else
+      w.bhead[c] = w.bnext[j];
+    if (w.bnext[j] >= 0) w.bprev[w.bnext[j]] = w.bprev[j];
+    --w.blinked;
+  };
+  auto set_colcount = [&](int j, int count) {
+    if (buckets_live) bucket_unlink(j);
+    w.colcount[j] = count;
+    if (buckets_live) bucket_link(j);
+  };
+
   // Finds the (value, row) of active column j while compacting stale cl
   // entries; returns the number of active entries (== colcount[j]).
   auto find_in_row = [&](int i, int j) -> std::pair<double, int> {
@@ -549,8 +551,10 @@ bool SimplexSolver::refactorize_markowitz() {
   auto freeze_pivot_row = [&](int r, int k) {
     w.pcols.clear();
     for (const auto& [j, v] : w.rows[r]) {
-      w.ucols[j].emplace_back(k, v);
-      --w.colcount[j];
+      w.u_col.push_back(j);
+      w.u_step.push_back(k);
+      w.u_val.push_back(v);
+      set_colcount(j, w.colcount[j] - 1);
       if (w.colcount[j] == 1 && w.colpos[j] < 0) w.colq.push_back(j);
       w.wrow[j] = v;
       w.mark[j] = 1;
@@ -590,7 +594,7 @@ bool SimplexSolver::refactorize_markowitz() {
           row.emplace_back(j, nv);
           w.cl[j].push_back(i);
           ++w.rowcount[i];
-          ++w.colcount[j];
+          set_colcount(j, w.colcount[j] + 1);
         }
       }
       if (w.rowcount[i] == 1) w.rowq.push_back(i);
@@ -605,7 +609,7 @@ bool SimplexSolver::refactorize_markowitz() {
         row[p] = row.back();
         row.pop_back();
         --w.rowcount[i];
-        --w.colcount[j];
+        set_colcount(j, w.colcount[j] - 1);
         if (w.rowcount[i] == 1) w.rowq.push_back(i);
         if (w.colcount[j] == 1 && w.colpos[j] < 0) w.colq.push_back(j);
       }
@@ -645,7 +649,8 @@ bool SimplexSolver::refactorize_markowitz() {
     }
     pat.resize(keep);
     for (const int i : pat) w.rmark[i] = 0;
-    w.colcount[j] = static_cast<int>(keep);
+    if (w.colcount[j] != static_cast<int>(keep))
+      set_colcount(j, static_cast<int>(keep));
     const double admit = std::max(mtol * s.colmax, opt_.pivot_tol);
     for (const auto& [i, vi] : entries) {
       const long long cost = static_cast<long long>(w.rowcount[i] - 1) *
@@ -712,21 +717,34 @@ bool SimplexSolver::refactorize_markowitz() {
     }
 
     // Phase B: Markowitz search over the bump. Examine a handful of
-    // smallest-count active columns; fall back to a full scan when none of
-    // them yields an admissible pivot.
+    // smallest-count active columns — the kCandidates smallest by
+    // (colcount, index), read off the count buckets in O(bucket size)
+    // instead of a sweep over all m columns; fall back to a full scan
+    // when none of them yields an admissible pivot.
     if (pr < 0) {
+      if (!buckets_live) {
+        buckets_live = true;
+        for (int j = 0; j < m; ++j)
+          if (w.colpos[j] < 0) bucket_link(j);
+      }
       constexpr int kCandidates = 4;
       int cand[kCandidates];
       int ncand = 0;
-      for (int j = 0; j < m; ++j) {
-        if (w.colpos[j] >= 0) continue;
-        int at = ncand;
-        for (; at > 0 && w.colcount[cand[at - 1]] > w.colcount[j]; --at) {
+      const int want = std::min(kCandidates, w.blinked);
+      while (w.bmin < m && w.bhead[w.bmin] < 0) ++w.bmin;
+      for (int c = w.bmin; c <= m && ncand < want; ++c) {
+        // The lowest indices of bucket c, kept sorted after the
+        // candidates taken from smaller buckets.
+        const int base = ncand;
+        for (int j = w.bhead[c]; j >= 0; j = w.bnext[j]) {
+          int at = ncand;
+          for (; at > base && cand[at - 1] > j; --at) {
+          }
+          if (at >= kCandidates) continue;
+          if (ncand < kCandidates) ++ncand;
+          for (int q = ncand - 1; q > at; --q) cand[q] = cand[q - 1];
+          cand[at] = j;
         }
-        if (at >= kCandidates) continue;
-        if (ncand < kCandidates) ++ncand;
-        for (int q = ncand - 1; q > at; --q) cand[q] = cand[q - 1];
-        cand[at] = j;
       }
       long long best_cost = 0;
       double best_val = 0.0;
@@ -765,6 +783,7 @@ bool SimplexSolver::refactorize_markowitz() {
     }
 
     // Commit pivot (pr, pc) as step k and eliminate.
+    if (buckets_live) bucket_unlink(pc);
     w.rowpos[pr] = k;
     w.colpos[pc] = k;
     perm_[k] = pr;
@@ -778,33 +797,38 @@ bool SimplexSolver::refactorize_markowitz() {
   // Emit the factors in the layout FTRAN/BTRAN consume. L row indices are
   // remapped from original rows to their final pivot position (always > k
   // since an eliminated row is pivoted after the step that eliminated it).
+  // U entries were frozen as (column, step, value) triplets in freeze
+  // order; a stable counting sort by the column's pivot step groups them
+  // into factor columns with each column's entries in freeze order.
   l_start_.assign(m + 1, 0);
   l_idx_.clear();
   l_val_.clear();
-  u_start_.assign(m + 1, 0);
-  u_idx_.clear();
-  u_val_.clear();
   for (int k = 0; k < m; ++k) {
     for (int p = w.l_starts[k]; p < w.l_starts[k + 1]; ++p) {
       l_idx_.push_back(w.rowpos[w.l_orig_rows[p]]);
       l_val_.push_back(w.l_vals[p]);
     }
     l_start_[k + 1] = static_cast<int>(l_idx_.size());
-    for (const auto& [step, v] : w.ucols[cperm_[k]]) {
-      u_idx_.push_back(step);
-      u_val_.push_back(v);
-    }
-    u_start_[k + 1] = static_cast<int>(u_idx_.size());
+  }
+  const int unnz = static_cast<int>(w.u_col.size());
+  u_len_.assign(m, 0);
+  for (int e = 0; e < unnz; ++e) ++u_len_[w.colpos[w.u_col[e]]];
+  u_beg_.resize(m);
+  for (int k = 0, at = 0; k < m; ++k) {
+    u_beg_[k] = at;
+    at += u_len_[k];
+  }
+  u_idx_.resize(unnz);
+  u_val_.resize(unnz);
+  w.ufill.assign(u_beg_.begin(), u_beg_.end());
+  for (int e = 0; e < unnz; ++e) {
+    const int p = w.ufill[w.colpos[w.u_col[e]]]++;
+    u_idx_[p] = w.u_step[e];
+    u_val_[p] = w.u_val[e];
   }
 
-  stats_.factor_basis_nnz += basis_nnz;
-  stats_.factor_fill_nnz +=
-      static_cast<long long>(l_idx_.size() + u_idx_.size()) + m - basis_nnz;
-  ++stats_.refactorizations;
   ++stats_.sparse_refactorizations;
-  clear_etas();
-  pivots_since_refactor_ = 0;
-  dual_w_valid_ = false;  // refactorization resets the pricing framework
+  finish_factorization(basis_nnz);
   return true;
 }
 
@@ -865,9 +889,11 @@ bool SimplexSolver::refactorize_dense() {
   l_start_.assign(m_ + 1, 0);
   l_idx_.clear();
   l_val_.clear();
-  u_start_.assign(m_ + 1, 0);
+  u_beg_.resize(m_);
+  u_len_.resize(m_);
   u_idx_.clear();
   u_val_.clear();
+  if (m_ > 0) u_beg_[0] = 0;
   for (int k = 0; k < m_; ++k) {
     const double* colk = lu.data() + static_cast<std::size_t>(k) * mm;
     for (int i = 0; i < k; ++i) {
@@ -883,56 +909,116 @@ bool SimplexSolver::refactorize_dense() {
         l_val_.push_back(colk[i]);
       }
     }
-    u_start_[k + 1] = static_cast<int>(u_idx_.size());
+    u_len_[k] = static_cast<int>(u_idx_.size()) - u_beg_[k];
+    if (k + 1 < m_) u_beg_[k + 1] = static_cast<int>(u_idx_.size());
     l_start_[k + 1] = static_cast<int>(l_idx_.size());
   }
 
-  stats_.factor_basis_nnz += basis_nnz;
-  stats_.factor_fill_nnz +=
-      static_cast<long long>(l_idx_.size() + u_idx_.size()) + m_ - basis_nnz;
-  ++stats_.refactorizations;
   ++stats_.dense_refactorizations;
-  clear_etas();
-  pivots_since_refactor_ = 0;
-  dual_w_valid_ = false;  // refactorization resets the pricing framework
+  finish_factorization(basis_nnz);
   return true;
 }
 
-void SimplexSolver::ftran_vec(std::vector<double>& v) const {
+void SimplexSolver::finish_factorization(long long basis_nnz) {
+  const long long fresh_nnz =
+      static_cast<long long>(l_idx_.size() + u_idx_.size());
+  stats_.factor_basis_nnz += basis_nnz;
+  stats_.factor_fill_nnz += fresh_nnz + m_ - basis_nnz;
+  ++stats_.refactorizations;
+  reset_updates();
+}
+
+void SimplexSolver::reset_updates() {
+  // Only nontrivial indices (a U column or a diagonal other than 1) enter
+  // the U sequence. A trivial index leaves every triangular solve
+  // unchanged and depends on no other index, so it sits implicitly at the
+  // front of the order and the solves skip it — on slack-heavy bases that
+  // is most of them. Likewise only the non-empty L columns are listed.
+  u_seq_.clear();
+  u_seq_pos_.assign(m_, -1);
+  l_cols_.clear();
+  cperm_inv_.resize(m_);
+  for (int k = 0; k < m_; ++k) {
+    cperm_inv_[cperm_[k]] = k;
+    if (u_len_[k] > 0 || u_diag_[k] != 1.0) {
+      u_seq_pos_[k] = static_cast<int>(u_seq_.size());
+      u_seq_.push_back(k);
+    }
+    if (l_start_[k + 1] > l_start_[k]) l_cols_.push_back(k);
+  }
+  l_rows_.clear();
+  ft_etas_.clear();
+  // Refactorize once the U arena and the row etas have grown by twice
+  // the fresh factors plus m: the updates then cost every FTRAN and BTRAN
+  // more than a refactorization saves (measured on the root-heavy Table 2
+  // cells against a growth of 1x and 4x).
+  const long long fresh =
+      static_cast<long long>(u_idx_.size() + l_idx_.size()) + m_;
+  update_budget_ = static_cast<long long>(u_idx_.size()) + 2 * fresh;
+  pivots_since_refactor_ = 0;
+  spike_valid_ = false;
+  factors_valid_ = true;
+  dual_w_valid_ = false;  // refactorization resets the pricing framework
+}
+
+void SimplexSolver::RowEtaFile::ftran(std::vector<double>& v) const {
+  const int num = static_cast<int>(pivot.size());
+  for (int e = 0; e < num; ++e) {
+    double acc = v[pivot[e]];
+    for (int p = start[e]; p < start[e + 1]; ++p) acc -= val[p] * v[idx[p]];
+    v[pivot[e]] = acc;
+  }
+}
+
+void SimplexSolver::RowEtaFile::btran(std::vector<double>& v) const {
+  for (int e = static_cast<int>(pivot.size()) - 1; e >= 0; --e) {
+    const double vt = v[pivot[e]];
+    if (vt == 0.0) continue;
+    for (int p = start[e]; p < start[e + 1]; ++p) v[idx[p]] -= val[p] * vt;
+  }
+}
+
+void SimplexSolver::ftran_vec(std::vector<double>& v, bool keep_spike) const {
   std::vector<double>& w = work_;
   w.resize(m_);
   for (int i = 0; i < m_; ++i) w[i] = v[perm_[i]];
-  // L solve (unit lower), sparse columns, skipping zero positions.
-  for (int k = 0; k < m_; ++k) {
+  // L solve (unit lower), sparse columns, skipping zero positions; then
+  // the bordered L rows and the update row etas.
+  for (const int k : l_cols_) {
     const double wk = w[k];
     if (wk == 0.0) continue;
     for (int p = l_start_[k]; p < l_start_[k + 1]; ++p)
       w[l_idx_[p]] -= l_val_[p] * wk;
   }
-  // U solve.
-  for (int k = m_ - 1; k >= 0; --k) {
+  l_rows_.ftran(w);
+  ft_etas_.ftran(w);
+  if (keep_spike) {
+    spike_idx_.clear();
+    spike_val_.clear();
+    for (int k = 0; k < m_; ++k) {
+      if (w[k] == 0.0) continue;
+      spike_idx_.push_back(k);
+      spike_val_.push_back(w[k]);
+    }
+    spike_valid_ = true;
+  }
+  // U solve, backward over the U sequence.
+  for (int q = static_cast<int>(u_seq_.size()) - 1; q >= 0; --q) {
+    const int k = u_seq_[q];
+    if (k < 0) continue;
     const double wk = w[k] / u_diag_[k];
     w[k] = wk;
     if (wk == 0.0) continue;
-    for (int p = u_start_[k]; p < u_start_[k + 1]; ++p)
-      w[u_idx_[p]] -= u_val_[p] * wk;
+    const int end = u_beg_[k] + u_len_[k];
+    for (int p = u_beg_[k]; p < end; ++p) w[u_idx_[p]] -= u_val_[p] * wk;
   }
   // Scatter from factor-column order back to basis position (cperm_ is the
   // identity after a dense sweep; the Markowitz path pivots columns freely).
   for (int k = 0; k < m_; ++k) v[cperm_[k]] = w[k];
-  // Eta file, oldest first, in basis-position space: v <- E^{-1} v.
-  const int num_etas = static_cast<int>(eta_row_.size());
-  for (int e = 0; e < num_etas; ++e) {
-    const int r = eta_row_[e];
-    const double vr = v[r] / eta_diag_[e];
-    if (vr != 0.0)
-      for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p)
-        v[eta_idx_[p]] -= eta_val_[p] * vr;
-    v[r] = vr;
-  }
 }
 
-void SimplexSolver::ftran(int col, std::vector<double>& w) const {
+void SimplexSolver::ftran(int col, std::vector<double>& w,
+                          bool keep_spike) const {
   w.assign(m_, 0.0);
   if (col < n_) {
     for (int p = col_start_[col]; p < col_start_[col + 1]; ++p)
@@ -940,40 +1026,34 @@ void SimplexSolver::ftran(int col, std::vector<double>& w) const {
   } else {
     w[col - n_] = 1.0;
   }
-  ftran_vec(w);
+  ftran_vec(w, keep_spike);
 }
 
 void SimplexSolver::btran(const std::vector<double>& cb,
                           std::vector<double>& y) const {
-  std::vector<double>& z = work2_;
-  z.assign(cb.begin(), cb.end());
-  // Eta file in reverse, in basis-position space: z' <- z' E^{-1} touches
-  // only component `row`.
-  for (int e = static_cast<int>(eta_row_.size()) - 1; e >= 0; --e) {
-    const int r = eta_row_[e];
-    double zr = z[r];
-    for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p)
-      zr -= eta_val_[p] * z[eta_idx_[p]];
-    z[r] = zr / eta_diag_[e];
-  }
-  // Gather into factor-column order before the transposed triangular solves.
+  // Gather into factor-column order before the transposed solves.
   std::vector<double>& q = work_;
   q.resize(m_);
-  for (int k = 0; k < m_; ++k) q[k] = z[cperm_[k]];
-  // v' U = q' (forward over sparse columns), then u' L = v' (backward).
-  for (int j = 0; j < m_; ++j) {
+  for (int k = 0; k < m_; ++k) q[k] = cb[cperm_[k]];
+  // v' U = q' (forward over the U sequence), then the row etas and the
+  // bordered L rows transposed (newest first), then u' L = v' (backward).
+  for (const int j : u_seq_) {
+    if (j < 0) continue;
     double acc = q[j];
-    for (int p = u_start_[j]; p < u_start_[j + 1]; ++p)
-      acc -= q[u_idx_[p]] * u_val_[p];
+    const int end = u_beg_[j] + u_len_[j];
+    for (int p = u_beg_[j]; p < end; ++p) acc -= q[u_idx_[p]] * u_val_[p];
     q[j] = acc / u_diag_[j];
   }
-  for (int j = m_ - 1; j >= 0; --j) {
+  ft_etas_.btran(q);
+  l_rows_.btran(q);
+  for (auto it = l_cols_.rbegin(); it != l_cols_.rend(); ++it) {
+    const int j = *it;
     double acc = q[j];
     for (int p = l_start_[j]; p < l_start_[j + 1]; ++p)
       acc -= q[l_idx_[p]] * l_val_[p];
     q[j] = acc;
   }
-  y.assign(m_, 0.0);
+  y.resize(m_);  // perm_ is a permutation: every entry is written
   for (int i = 0; i < m_; ++i) y[perm_[i]] = q[i];
 }
 
@@ -995,280 +1075,6 @@ void SimplexSolver::rebuild_row_mirror() {
       row_col_[pos] = v;
       row_val_[pos] = col_val_[p];
     }
-}
-
-void SimplexSolver::ensure_factor_patterns() {
-  if (factor_patterns_valid_) return;
-  perm_inv_.resize(m_);
-  cperm_inv_.resize(m_);
-  for (int k = 0; k < m_; ++k) {
-    perm_inv_[perm_[k]] = k;
-    cperm_inv_[cperm_[k]] = k;
-  }
-  // Row patterns of U and L (a CSR transpose of the column patterns):
-  // ur_ lists, for each factor row k, the columns j > k whose U column
-  // contains k; lr_ the columns j < k whose L column contains k. They
-  // drive the mark propagation of the transposed solves in
-  // btran_unit_sparse: a finalized nonzero at k can only spread to those
-  // columns.
-  const int unnz = u_start_.empty() ? 0 : u_start_[m_];
-  ur_start_.assign(m_ + 1, 0);
-  ur_col_.resize(unnz);
-  for (int p = 0; p < unnz; ++p) ++ur_start_[u_idx_[p] + 1];
-  for (int k = 0; k < m_; ++k) ur_start_[k + 1] += ur_start_[k];
-  {
-    std::vector<int> fill(ur_start_.begin(), ur_start_.end() - 1);
-    for (int j = 0; j < m_; ++j)
-      for (int p = u_start_[j]; p < u_start_[j + 1]; ++p)
-        ur_col_[fill[u_idx_[p]]++] = j;
-  }
-  const int lnnz = l_start_.empty() ? 0 : l_start_[m_];
-  lr_start_.assign(m_ + 1, 0);
-  lr_col_.resize(lnnz);
-  for (int p = 0; p < lnnz; ++p) ++lr_start_[l_idx_[p] + 1];
-  for (int k = 0; k < m_; ++k) lr_start_[k + 1] += lr_start_[k];
-  {
-    std::vector<int> fill(lr_start_.begin(), lr_start_.end() - 1);
-    for (int j = 0; j < m_; ++j)
-      for (int p = l_start_[j]; p < l_start_[j + 1]; ++p)
-        lr_col_[fill[l_idx_[p]]++] = j;
-  }
-  factor_patterns_valid_ = true;
-}
-
-bool SimplexSolver::btran_unit_sparse(int r) {
-  ensure_factor_patterns();
-  const int cutoff = std::max(
-      8, static_cast<int>(opt_.hypersparse_threshold * static_cast<double>(m_)));
-  if (static_cast<int>(hs_zb_.size()) < m_) {
-    hs_zb_.resize(m_, 0.0);
-    hs_markb_.resize(m_, 0);
-    hs_zf_.resize(m_, 0.0);
-    hs_markf_.resize(m_, 0);
-  }
-  std::vector<int>& patb = hs_patb_;
-  std::vector<int>& patf = hs_patf_;
-  patb.clear();
-  patf.clear();
-  auto cleanup = [&] {
-    for (const int i : patb) {
-      hs_zb_[i] = 0.0;
-      hs_markb_[i] = 0;
-    }
-    for (const int k : patf) {
-      hs_zf_[k] = 0.0;
-      hs_markf_[k] = 0;
-    }
-  };
-
-  // e_r through the reversed eta file (basis-position space). Each eta
-  // only rewrites component eta_row_[e]; the step is skipped — its result
-  // is exactly zero, matching the dense solve — unless that component or
-  // one of the eta's off-diagonal sources is already in the pattern.
-  hs_zb_[r] = 1.0;
-  hs_markb_[r] = 1;
-  patb.push_back(r);
-  for (int e = static_cast<int>(eta_row_.size()) - 1; e >= 0; --e) {
-    const int re = eta_row_[e];
-    // Off-pattern scratch entries are exactly zero, so the dot is computed
-    // directly (a separate relevance pre-scan would double the eta cost);
-    // a zero result on an unmarked row is simply not written back.
-    double zr = hs_zb_[re];
-    for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p)
-      zr -= eta_val_[p] * hs_zb_[eta_idx_[p]];
-    zr /= eta_diag_[e];
-    if (hs_markb_[re] != 0) {
-      hs_zb_[re] = zr;
-    } else if (zr != 0.0) {
-      hs_zb_[re] = zr;
-      hs_markb_[re] = 1;
-      patb.push_back(re);
-      if (static_cast<int>(patb.size()) > cutoff) {
-        cleanup();
-        return false;
-      }
-    }
-  }
-
-  // Gather into factor-column order (q[k] = z[cperm_[k]]).
-  for (const int i : patb) {
-    const int k = cperm_inv_[i];
-    hs_zf_[k] = hs_zb_[i];
-    hs_markf_[k] = 1;
-    patf.push_back(k);
-  }
-
-  // v' U = q': ascending scan over the marked columns; a finalized
-  // nonzero at k spreads the mark to the columns ur_ lists for row k
-  // (all > k, so the scan meets them later). Unmarked columns stay
-  // exactly zero, as they would in the dense solve.
-  for (int j = 0; j < m_; ++j) {
-    if (!hs_markf_[j]) continue;
-    double acc = hs_zf_[j];
-    for (int p = u_start_[j]; p < u_start_[j + 1]; ++p)
-      acc -= hs_zf_[u_idx_[p]] * u_val_[p];
-    acc /= u_diag_[j];
-    hs_zf_[j] = acc;
-    if (acc != 0.0) {
-      for (int p = ur_start_[j]; p < ur_start_[j + 1]; ++p) {
-        const int jj = ur_col_[p];
-        if (hs_markf_[jj] == 0) {
-          hs_markf_[jj] = 1;
-          patf.push_back(jj);
-        }
-      }
-      if (static_cast<int>(patf.size()) > cutoff) {
-        cleanup();
-        return false;
-      }
-    }
-  }
-
-  // u' L = v': descending scan; a finalized nonzero at k spreads to the
-  // columns lr_ lists for row k (all < k).
-  for (int j = m_ - 1; j >= 0; --j) {
-    if (!hs_markf_[j]) continue;
-    double acc = hs_zf_[j];
-    for (int p = l_start_[j]; p < l_start_[j + 1]; ++p)
-      acc -= hs_zf_[l_idx_[p]] * l_val_[p];
-    hs_zf_[j] = acc;
-    if (acc != 0.0) {
-      for (int p = lr_start_[j]; p < lr_start_[j + 1]; ++p) {
-        const int jj = lr_col_[p];
-        if (hs_markf_[jj] == 0) {
-          hs_markf_[jj] = 1;
-          patf.push_back(jj);
-        }
-      }
-      if (static_cast<int>(patf.size()) > cutoff) {
-        cleanup();
-        return false;
-      }
-    }
-  }
-
-  // Scatter into dual_rho_ (original-row space), keeping it exactly zero
-  // off-pattern: clear only the previous pattern when it is known clean.
-  if (!dual_rho_clean_ || static_cast<int>(dual_rho_.size()) != m_) {
-    dual_rho_.assign(m_, 0.0);
-  } else {
-    for (const int i : dual_rho_pattern_) dual_rho_[i] = 0.0;
-  }
-  dual_rho_pattern_.clear();
-  for (const int k : patf) {
-    const double v = hs_zf_[k];
-    if (v == 0.0) continue;  // cancelled along the way: keep the row exact
-    const int row = perm_[k];
-    dual_rho_[row] = v;
-    dual_rho_pattern_.push_back(row);
-  }
-  // The pattern stays unsorted: every consumer of rho is a value scan over
-  // the dense vector (exact zeros off-pattern), so the list is needed only
-  // for the scoped clear above and the nnz stat.
-  dual_rho_clean_ = true;
-  cleanup();
-  return true;
-}
-
-void SimplexSolver::ftran_vec_sparse(std::vector<double>& v,
-                                     std::vector<int>& pattern) {
-  if (static_cast<int>(hs_zf_.size()) < m_) {
-    hs_zb_.resize(m_, 0.0);
-    hs_markb_.resize(m_, 0);
-    hs_zf_.resize(m_, 0.0);
-    hs_markf_.resize(m_, 0);
-  }
-  std::vector<int>& patf = hs_patf_;
-  patf.clear();
-  // Gather the seed into factor order (w[i] = v[perm_[i]], i.e. original
-  // row i lands at factor position perm_inv_[i]).
-  for (const int i : pattern) {
-    const int k = perm_inv_[i];
-    hs_zf_[k] = v[i];
-    hs_markf_[k] = 1;
-    patf.push_back(k);
-  }
-  // L solve (unit lower): a nonzero at k spreads directly along its own
-  // column entries (all > k), so the ascending mark scan is the exact
-  // sparse analogue of the dense value-skipping loop.
-  for (int k = 0; k < m_; ++k) {
-    if (!hs_markf_[k]) continue;
-    const double wk = hs_zf_[k];
-    if (wk == 0.0) continue;
-    for (int p = l_start_[k]; p < l_start_[k + 1]; ++p) {
-      const int idx = l_idx_[p];
-      hs_zf_[idx] -= l_val_[p] * wk;
-      if (hs_markf_[idx] == 0) {
-        hs_markf_[idx] = 1;
-        patf.push_back(idx);
-      }
-    }
-  }
-  // U solve: descending; spreads along the column entries (all < k).
-  for (int k = m_ - 1; k >= 0; --k) {
-    if (!hs_markf_[k]) continue;
-    const double wk = hs_zf_[k] / u_diag_[k];
-    hs_zf_[k] = wk;
-    if (wk == 0.0) continue;
-    for (int p = u_start_[k]; p < u_start_[k + 1]; ++p) {
-      const int idx = u_idx_[p];
-      hs_zf_[idx] -= u_val_[p] * wk;
-      if (hs_markf_[idx] == 0) {
-        hs_markf_[idx] = 1;
-        patf.push_back(idx);
-      }
-    }
-  }
-  // Scatter to basis-position space (v[cperm_[k]] = w[k]); the eta file
-  // then runs oldest-first in that space, marking the rows it fills in.
-  for (const int i : pattern) v[i] = 0.0;
-  pattern.clear();
-  for (const int k : patf) {
-    const int pos = cperm_[k];
-    v[pos] = hs_zf_[k];
-    hs_markb_[pos] = 1;
-    pattern.push_back(pos);
-    hs_zf_[k] = 0.0;
-    hs_markf_[k] = 0;
-  }
-  const int num_etas = static_cast<int>(eta_row_.size());
-  for (int e = 0; e < num_etas; ++e) {
-    const int re = eta_row_[e];
-    if (!hs_markb_[re]) continue;  // v[re] is exactly zero: the eta no-ops
-    const double vr = v[re] / eta_diag_[e];
-    if (vr != 0.0) {
-      for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p) {
-        const int idx = eta_idx_[p];
-        v[idx] -= eta_val_[p] * vr;
-        if (hs_markb_[idx] == 0) {
-          hs_markb_[idx] = 1;
-          pattern.push_back(idx);
-        }
-      }
-    }
-    v[re] = vr;
-  }
-  for (const int i : pattern) hs_markb_[i] = 0;
-  // The pattern is left unsorted: off-pattern entries of v are exact zeros,
-  // so downstream consumers are plain value scans over the dense vector and
-  // walk the true support in ascending order regardless.
-}
-
-void SimplexSolver::ftran_col_sparse(int col, std::vector<double>& w,
-                                     std::vector<int>& pattern) {
-  ensure_factor_patterns();
-  w.assign(m_, 0.0);
-  pattern.clear();
-  if (col < n_) {
-    for (int p = col_start_[col]; p < col_start_[col + 1]; ++p) {
-      w[col_row_[p]] = col_val_[p];
-      pattern.push_back(col_row_[p]);
-    }
-  } else {
-    w[col - n_] = 1.0;
-    pattern.push_back(col - n_);
-  }
-  ftran_vec_sparse(w, pattern);
 }
 
 double SimplexSolver::reduced_cost(int col, const std::vector<double>& y,
@@ -1397,7 +1203,7 @@ int SimplexSolver::iterate(bool phase1, bool bland) {
 
   // --- ratio test ---
   std::vector<double>& w = wcol_;
-  ftran(entering, w);
+  ftran(entering, w, /*keep_spike=*/true);
 
   double t_max = ub_[entering] - lb_[entering];  // bound flip distance
   int leaving_row = -1;
@@ -1459,7 +1265,8 @@ int SimplexSolver::iterate(bool phase1, bool bland) {
   else
     degenerate_run_ = 0;
 
-  pivot(entering, leaving_row, t_max, dir, w, leaving_status);
+  if (!pivot(entering, leaving_row, t_max, dir, w, leaving_status))
+    return 3;  // unstable LU update: pivot rejected
   // A primal pivot (fallback, phase 1 repair, or the phase-2 certificate)
   // moves the basis outside the dual pricing framework: reset it.
   dual_w_valid_ = false;
@@ -1470,12 +1277,27 @@ int SimplexSolver::iterate(bool phase1, bool bland) {
   return 0;
 }
 
-void SimplexSolver::pivot(int entering, int leaving_row, double t,
+bool SimplexSolver::pivot(int entering, int leaving_row, double t,
                           int entering_dir, const std::vector<double>& w,
                           Status leaving_status) {
+  if (leaving_row >= 0) {
+    // Update the factors first: an update that fails its stability test
+    // rejects the whole pivot, leaving the basis and every value as they
+    // were. Only the factors are lost (the update edits U in place); the
+    // caller's recovery ladder refactorizes the unchanged basis, whose
+    // fresh FTRANs then re-decide the pivot.
+    const double alpha = w[leaving_row];
+    ADVBIST_ENSURE(std::abs(alpha) > opt_.pivot_tol, "pivot element too small");
+    if (!update_factors(leaving_row, alpha)) {
+      ++stats_.lu_update_rejections;
+      factors_valid_ = false;
+      return false;
+    }
+  }
+
   // Move the entering variable and update basic values. The value scans
-  // below skip w's exact zeros, so they already walk only the FTRAN
-  // result's true support — a pattern-tracked caller gains nothing here.
+  // below skip w's exact zeros, so they walk only the FTRAN result's true
+  // support.
   x_[entering] += entering_dir * t;
   if (t > 0.0) {
     for (int i = 0; i < m_; ++i) {
@@ -1483,54 +1305,127 @@ void SimplexSolver::pivot(int entering, int leaving_row, double t,
       x_[basis_[i]] -= entering_dir * t * w[i];
     }
   }
+  ++iterations_;
 
   if (leaving_row < 0) {
     // Bound flip: entering stays nonbasic at its opposite bound.
     vstat_[entering] = (entering_dir > 0) ? kAtUpper : kAtLower;
     x_[entering] = (entering_dir > 0) ? ub_[entering] : lb_[entering];
     ++stats_.bound_flips;
-    ++iterations_;
-    return;
+    return true;
   }
 
   const int leaving = basis_[leaving_row];
   // Snap the leaving variable exactly onto its bound to stop drift.
   x_[leaving] = (leaving_status == kAtLower) ? lb_[leaving] : ub_[leaving];
   vstat_[leaving] = (leaving_status == kAtLower) ? kAtLower : kAtUpper;
-
   basis_[leaving_row] = entering;
   vstat_[entering] = kBasic;
-
-  // Product-form update: append one eta vector built from the FTRANed
-  // entering column. O(nnz(w)) instead of an O(m^2) dense-inverse update.
-  const double alpha = w[leaving_row];
-  ADVBIST_ENSURE(std::abs(alpha) > opt_.pivot_tol, "pivot element too small");
-  eta_row_.push_back(leaving_row);
-  eta_diag_.push_back(alpha);
-  for (int i = 0; i < m_; ++i) {
-    if (i == leaving_row || w[i] == 0.0) continue;
-    eta_idx_.push_back(i);
-    eta_val_.push_back(w[i]);
-  }
-  eta_start_.push_back(static_cast<int>(eta_idx_.size()));
-  // Fault-injection hook: a perturbed eta diagonal is exactly the residual
-  // drift a long eta chain accumulates, compressed into one pivot — the
-  // recovery ladder's refactorization rung must absorb it.
-  if (auto* fi = util::FaultInjector::active();
-      fi != nullptr && fi->fire(util::FaultSite::kEtaPerturb))
-    eta_diag_.back() *= 1.0 + fi->perturbation();
   ++pivots_since_refactor_;
   ++stats_.basis_pivots;
-  ++iterations_;
+  return true;
 }
 
-bool SimplexSolver::needs_compaction() const {
-  // Pivot-count budget, plus a fill budget: long FTRAN/BTRAN eta chains
-  // cost more than the refactorization they avoid.
-  const std::size_t max_eta_nnz =
-      std::max<std::size_t>(4096, 16 * static_cast<std::size_t>(m_));
-  return pivots_since_refactor_ >= opt_.refactor_every ||
-         eta_idx_.size() > max_eta_nnz;
+bool SimplexSolver::update_factors(int pos, double alpha) {
+  if (!spike_valid_) return false;
+  spike_valid_ = false;
+  const int t = cperm_inv_[pos];
+  const double old_diag = u_diag_[t];
+
+  // Row-eta multipliers: r' U_after = (row t of U)_after over the columns
+  // after t in the U sequence, one dot-product pass (btran's transposed U
+  // step restricted to that tail). The same pass strikes row t's entries
+  // from those columns — the row eta eliminates them.
+  if (static_cast<int>(ft_r_.size()) < m_) ft_r_.resize(m_, 0.0);
+  std::vector<double>& r = ft_r_;
+  ft_touched_.clear();
+  const int slot = u_seq_pos_[t];  // -1: trivial, implicitly first
+  const int num_slots = static_cast<int>(u_seq_.size());
+  for (int q = slot + 1; q < num_slots; ++q) {
+    const int j = u_seq_[q];
+    if (j < 0) continue;
+    double acc = 0.0;
+    int end = u_beg_[j] + u_len_[j];
+    for (int p = u_beg_[j]; p < end; ++p) {
+      if (u_idx_[p] != t) {
+        acc -= r[u_idx_[p]] * u_val_[p];
+        continue;
+      }
+      acc += u_val_[p];
+      --end;  // swap-remove; re-examine the entry moved into p
+      u_idx_[p] = u_idx_[end];
+      u_val_[p] = u_val_[end];
+      --u_len_[j];
+      --p;
+    }
+    if (acc == 0.0) continue;
+    r[j] = acc / u_diag_[j];
+    ft_touched_.push_back(j);
+  }
+
+  // New diagonal: the spike's row-t entry after the row eta.
+  double diag = 0.0;
+  const int spike_nnz = static_cast<int>(spike_idx_.size());
+  for (int e = 0; e < spike_nnz; ++e) {
+    const int i = spike_idx_[e];
+    if (i == t)
+      diag += spike_val_[e];
+    else
+      diag -= r[i] * spike_val_[e];
+  }
+  for (const int j : ft_touched_) {
+    ft_etas_.idx.push_back(j);
+    ft_etas_.val.push_back(r[j]);
+    r[j] = 0.0;
+  }
+  if (!ft_touched_.empty()) ft_etas_.close(t);
+
+  // Stability test: det(B') / det(B) = alpha, and the update changes only
+  // the diagonal at t, so the new diagonal must equal alpha * old_diag.
+  // A disagreement means the update lost accuracy to cancellation; a
+  // numerically zero diagonal means U would be near-singular; and a pivot
+  // within kUpdatePivotScale of pivot_tol is FTRAN noise.
+  const double expect = alpha * old_diag;
+  if (std::abs(alpha) <= kUpdatePivotScale * cfg_pivot_tol_ ||
+      std::abs(diag) <= opt_.pivot_tol ||
+      std::abs(diag - expect) > 1e-8 * std::abs(diag))
+    return false;
+
+  // The spike replaces column t, and t moves to the end of the sequence:
+  // every other row is then before it, so U stays triangular.
+  u_beg_[t] = static_cast<int>(u_idx_.size());
+  for (int e = 0; e < spike_nnz; ++e) {
+    if (spike_idx_[e] == t) continue;
+    u_idx_.push_back(spike_idx_[e]);
+    u_val_.push_back(spike_val_[e]);
+  }
+  u_len_[t] = static_cast<int>(u_idx_.size()) - u_beg_[t];
+  u_diag_[t] = diag;
+  if (slot >= 0) u_seq_[slot] = -1;
+  u_seq_pos_[t] = num_slots;
+  u_seq_.push_back(t);
+  // Fault-injection hook: a perturbed U diagonal is the residual drift a
+  // long update chain can accumulate past the stability test, compressed
+  // into one pivot — the recovery ladder must absorb it.
+  if (auto* fi = util::FaultInjector::active();
+      fi != nullptr && fi->fire(util::FaultSite::kEtaPerturb))
+    u_diag_[t] *= 1.0 + fi->perturbation();
+  ++stats_.lu_updates;
+  return true;
+}
+
+bool SimplexSolver::ensure_factors() {
+  if (has_basis_ && !factors_valid_ && !refactorize()) has_basis_ = false;
+  return has_basis_;
+}
+
+bool SimplexSolver::needs_refactor() const {
+  const int cap = iterations_ < short_chain_until_
+                      ? std::min(opt_.refactor_every, kShortChainUpdates)
+                      : opt_.refactor_every;
+  return !factors_valid_ || pivots_since_refactor_ >= cap ||
+         static_cast<long long>(u_idx_.size() + ft_etas_.idx.size()) >
+             update_budget_;
 }
 
 void SimplexSolver::finalize_result(LpResult& result, LpStatus status) {
@@ -1552,15 +1447,17 @@ LpResult SimplexSolver::solve() {
   recovery_rung_ = 0;
   iters_at_last_trouble_ = -1;
   opt_.markowitz_tol = cfg_markowitz_tol_;  // undo any rung-1 tighten
+  opt_.pivot_tol = cfg_pivot_tol_;
+  short_chain_until_ = 0;
   return run_primal();
 }
 
 LpResult SimplexSolver::run_primal() {
   LpResult result;
-  if (!has_basis_) cold_start();
-  // A warm start keeps the existing factorization + eta file: the basis did
-  // not change, only bounds. needs_compaction() below compacts when the eta
-  // file has grown past its budget.
+  if (!ensure_factors()) cold_start();
+  // A warm start keeps the existing (updated) factors: the basis did not
+  // change, only bounds. needs_refactor() below refactorizes once the
+  // updates have grown past their budget.
   compute_basic_values();
 
   degenerate_run_ = 0;
@@ -1577,7 +1474,7 @@ LpResult SimplexSolver::run_primal() {
   // An infeasibility verdict is as load-bearing as an optimality proof
   // (the branch & bound prunes a whole subtree on it — or declares the
   // model infeasible at the root), so it is only ever issued on a FRESH
-  // factorization: eta-file drift that manufactured the residual is wiped
+  // factorization: update drift that manufactured the residual is wiped
   // and the phase-1 conclusion re-derived. One certification per
   // conclusion attempt; new pivots re-arm it.
   int infeasibility_certified_at = -1;
@@ -1603,8 +1500,8 @@ LpResult SimplexSolver::run_primal() {
       ++stats_.aborted_solves;
       return finalize(LpStatus::kAborted);
     }
-    if (needs_compaction()) {
-      // A compaction refactorization that comes back singular climbs the
+    if (needs_refactor()) {
+      // A scheduled refactorization that comes back singular climbs the
       // same ladder as pivot trouble (tighten, dense, cold) instead of
       // jumping straight to a cold start.
       if (refactorize())
@@ -1636,7 +1533,7 @@ LpResult SimplexSolver::run_primal() {
       ++stats_.aborted_solves;
       return finalize(LpStatus::kAborted);
     }
-    if (needs_compaction()) {
+    if (needs_refactor()) {
       if (refactorize())
         compute_basic_values();
       else if (!escalate_recovery())
@@ -1789,37 +1686,23 @@ int SimplexSolver::iterate_dual() {
 
   // --- pivot row: rho' = e_r' B^{-1}; alpha_j = sgn * rho' a_j for every
   // nonbasic column (the sign normalization makes "d_j decreasing with the
-  // dual step" read the same for both violation directions). The sparse
-  // and dense BTRANs produce bit-identical vectors with exact zeros off
-  // the true support; the density EWMA picks whichever is cheaper, and a
+  // dual step" read the same for both violation directions). The dense
+  // BTRAN value-skips, so rho is exactly zero off its true support; the
   // pivot counts as hypersparse when the indexed ratio walk engages — the
-  // pivot row fits under the density cutoff — regardless of which solve
-  // produced it. Denser rows fall back to the dense CSC alpha pass,
-  // counted (never silently) in dual_dense_pivots. ---
+  // pivot row fits under the density cutoff. Denser rows fall back to the
+  // dense CSC alpha pass, counted (never silently) in dual_dense_pivots. ---
   const int rho_cutoff = std::max(
       8,
       static_cast<int>(opt_.hypersparse_threshold * static_cast<double>(m_)));
-  int rho_nnz;
-  if (opt_.hypersparse && hs_rho_density_ < kPatternDensityGate &&
-      btran_unit_sparse(r)) {
-    ++stats_.dual_btran_sparse;
-    rho_nnz = static_cast<int>(dual_rho_pattern_.size());
-  } else {
-    dual_unit_.assign(m_, 0.0);
-    dual_unit_[r] = 1.0;
-    btran(dual_unit_, dual_rho_);
-    dual_rho_clean_ = false;
-    ++stats_.dual_btran_dense;
-    rho_nnz = 0;
-    for (int i = 0; i < m_; ++i) rho_nnz += dual_rho_[i] != 0.0 ? 1 : 0;
-  }
-  if (opt_.hypersparse)
-    hs_rho_density_ =
-        (1.0 - kPatternDensityAlpha) * hs_rho_density_ +
-        kPatternDensityAlpha * (static_cast<double>(rho_nnz) / m_);
+  if (static_cast<int>(dual_unit_.size()) != m_) dual_unit_.assign(m_, 0.0);
+  dual_unit_[r] = 1.0;  // e_r; dual_unit_ is all-zero between uses
+  btran(dual_unit_, dual_rho_);
+  dual_unit_[r] = 0.0;
+  int rho_nnz = 0;
+  for (int i = 0; i < m_; ++i) rho_nnz += dual_rho_[i] != 0.0 ? 1 : 0;
   stats_.dual_rho_nnz += rho_nnz;
-  dual_rho_sparse_ = opt_.hypersparse && rho_nnz <= rho_cutoff;
-  if (dual_rho_sparse_)
+  const bool rho_sparse = opt_.hypersparse && rho_nnz <= rho_cutoff;
+  if (rho_sparse)
     ++stats_.dual_hypersparse_pivots;
   else
     ++stats_.dual_dense_pivots;
@@ -1853,7 +1736,7 @@ int SimplexSolver::iterate_dual() {
       return;
     dual_cands_.push_back(DualCandidate{j, ratio, at});
   };
-  if (dual_rho_sparse_) {
+  if (rho_sparse) {
     // Indexed walk: scatter rho_i * (row i) into the accumulator over the
     // structural columns; slack alphas are the rho entries themselves.
     // The ascending value scan over rho (off-pattern entries are exact
@@ -1862,17 +1745,17 @@ int SimplexSolver::iterate_dual() {
     // The scatter is branch-free: untouched columns stay exactly zero and
     // the O(n_) sweep drops them at the drop_tol test, which is cheaper
     // than per-entry mark bookkeeping at the densities seen here.
-    if (static_cast<int>(hs_acc_.size()) < n_) hs_acc_.assign(n_, 0.0);
+    if (static_cast<int>(row_acc_.size()) < n_) row_acc_.assign(n_, 0.0);
     for (int i = 0; i < m_; ++i) {
       const double ri = dual_rho_[i];
       if (ri == 0.0) continue;
       for (int p = row_start_[i]; p < row_start_[i + 1]; ++p)
-        hs_acc_[row_col_[p]] += ri * row_val_[p];
+        row_acc_[row_col_[p]] += ri * row_val_[p];
       consider(n_ + i, ri);
     }
     for (int j = 0; j < n_; ++j) {
-      consider(j, hs_acc_[j]);
-      hs_acc_[j] = 0.0;
+      consider(j, row_acc_[j]);
+      row_acc_[j] = 0.0;
     }
   } else {
     for (int j = 0; j < total_; ++j) {
@@ -1980,22 +1863,9 @@ int SimplexSolver::iterate_dual() {
   dual_d_[chosen] = 0.0;
 
   // --- apply the flips: nonbasic values jump to the opposite bound; one
-  // accumulated FTRAN updates every basic value. With hypersparsity on,
-  // the flipped columns' rows seed a pattern-tracked FTRAN and the basic
-  // update walks the result pattern. ---
+  // accumulated FTRAN updates every basic value. ---
   if (!dual_flips_.empty()) {
-    // Pattern-tracked FTRAN only pays off when the result is genuinely
-    // sparse; a running density estimate (EWMA over recent results) gates
-    // it. Both paths produce bit-identical vectors, so the gate never
-    // changes the pivot trajectory — only the cost of computing it.
-    const bool track = opt_.hypersparse && hs_fcol_density_ < kPatternDensityGate;
     dual_fcol_.assign(m_, 0.0);
-    if (track) {
-      ensure_factor_patterns();
-      if (static_cast<int>(hs_seedmark_.size()) < m_)
-        hs_seedmark_.resize(m_, 0);
-      fcol_pattern_.clear();
-    }
     for (const int j : dual_flips_) {
       const double old = x_[j];
       double nv;
@@ -2009,67 +1879,21 @@ int SimplexSolver::iterate_dual() {
       x_[j] = nv;
       const double dx = nv - old;
       if (j < n_) {
-        for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
-          const int row = col_row_[p];
-          dual_fcol_[row] += col_val_[p] * dx;
-          if (track && hs_seedmark_[row] == 0) {
-            hs_seedmark_[row] = 1;
-            fcol_pattern_.push_back(row);
-          }
-        }
+        for (int p = col_start_[j]; p < col_start_[j + 1]; ++p)
+          dual_fcol_[col_row_[p]] += col_val_[p] * dx;
       } else {
-        const int row = j - n_;
-        dual_fcol_[row] += dx;
-        if (track && hs_seedmark_[row] == 0) {
-          hs_seedmark_[row] = 1;
-          fcol_pattern_.push_back(row);
-        }
+        dual_fcol_[j - n_] += dx;
       }
     }
-    if (track) {
-      for (const int i : fcol_pattern_) hs_seedmark_[i] = 0;
-      ftran_vec_sparse(dual_fcol_, fcol_pattern_);
-      ++stats_.dual_ftran_sparse;
-      hs_fcol_density_ = (1.0 - kPatternDensityAlpha) * hs_fcol_density_ +
-                         kPatternDensityAlpha *
-                             (static_cast<double>(fcol_pattern_.size()) / m_);
-      for (const int i : fcol_pattern_)
-        if (dual_fcol_[i] != 0.0) x_[basis_[i]] -= dual_fcol_[i];
-    } else {
-      ftran_vec(dual_fcol_);
-      ++stats_.dual_ftran_dense;
-      int nnz = 0;
-      for (int i = 0; i < m_; ++i) {
-        if (dual_fcol_[i] == 0.0) continue;
-        ++nnz;
-        x_[basis_[i]] -= dual_fcol_[i];
-      }
-      if (opt_.hypersparse)
-        hs_fcol_density_ = (1.0 - kPatternDensityAlpha) * hs_fcol_density_ +
-                           kPatternDensityAlpha * (static_cast<double>(nnz) / m_);
-    }
+    ftran_vec(dual_fcol_);
+    for (int i = 0; i < m_; ++i)
+      if (dual_fcol_[i] != 0.0) x_[basis_[i]] -= dual_fcol_[i];
     stats_.dual_bound_flips += static_cast<long long>(dual_flips_.size());
   }
 
   // --- entering column FTRAN + primal step onto the violated bound ---
   std::vector<double>& w = wcol_;
-  if (opt_.hypersparse && hs_wcol_density_ < kPatternDensityGate) {
-    ftran_col_sparse(chosen, w, wcol_pattern_);
-    ++stats_.dual_ftran_sparse;
-    hs_wcol_density_ = (1.0 - kPatternDensityAlpha) * hs_wcol_density_ +
-                       kPatternDensityAlpha *
-                           (static_cast<double>(wcol_pattern_.size()) / m_);
-  } else {
-    ftran(chosen, w);
-    ++stats_.dual_ftran_dense;
-    if (opt_.hypersparse) {
-      int nnz = 0;
-      for (int i = 0; i < m_; ++i)
-        if (w[i] != 0.0) ++nnz;
-      hs_wcol_density_ = (1.0 - kPatternDensityAlpha) * hs_wcol_density_ +
-                         kPatternDensityAlpha * (static_cast<double>(nnz) / m_);
-    }
-  }
+  ftran(chosen, w, /*keep_spike=*/true);
   const double wr = w[r];
   // w[r] and the BTRANed pivot-row entry are the same number computed two
   // ways; a disagreement (or a tiny pivot) flags factorization drift.
@@ -2099,7 +1923,8 @@ int SimplexSolver::iterate_dual() {
   // The dual iteration computed both vectors the weight update needs: the
   // FTRANed entering column and the BTRANed pivot row.
   update_dual_weights(r, w, dual_rho_);
-  pivot(chosen, r, t, dir, w, sgn < 0 ? kAtLower : kAtUpper);
+  if (!pivot(chosen, r, t, dir, w, sgn < 0 ? kAtLower : kAtUpper))
+    return 3;  // unstable LU update: pivot rejected
   ++iter_dual_;
   dual_d_[leaving] = -sgn * theta;  // the leaving variable's new reduced cost
   return 0;
@@ -2115,6 +1940,8 @@ LpResult SimplexSolver::solve_dual() {
   recovery_rung_ = 0;
   iters_at_last_trouble_ = -1;
   opt_.markowitz_tol = cfg_markowitz_tol_;  // undo any rung-1 tighten
+  opt_.pivot_tol = cfg_pivot_tol_;
+  short_chain_until_ = 0;
 
   auto fallback = [&] {
     ++stats_.dual_fallbacks;
@@ -2125,7 +1952,7 @@ LpResult SimplexSolver::solve_dual() {
 
   // No warm basis to be dual-feasible about: the primal cold start is the
   // right tool.
-  if (!has_basis_) return fallback();
+  if (!ensure_factors()) return fallback();
 
   compute_dual_reduced_costs();
   if (!restore_dual_feasibility()) return fallback();
@@ -2149,7 +1976,7 @@ LpResult SimplexSolver::solve_dual() {
       finalize_result(result, LpStatus::kAborted);
       return result;
     }
-    if (needs_compaction()) {
+    if (needs_refactor()) {
       if (!refactorize()) {
         // Ladder-recover like pivot trouble; a recovery that lost dual
         // feasibility beyond bound-flip repair ends on the primal path.
@@ -2177,7 +2004,7 @@ LpResult SimplexSolver::solve_dual() {
     if (rc == 1) break;  // primal feasible: let the primal loop certify
     if (rc == 2) {
       // Re-verify the dual ray on a fresh factorization before trusting it
-      // (the pivot row and reduced costs may carry eta-file drift).
+      // (the pivot row and reduced costs may carry update drift).
       if (!infeasibility_reverified) {
         infeasibility_reverified = true;
         if (!refactorize()) {
@@ -2304,16 +2131,12 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
   cperm_.resize(m_);
   u_diag_.resize(m_);
   work_.resize(m_);
-  work2_.resize(m_);
   candidates_.clear();
   price_cursor_ = 0;
   dual_w_valid_ = false;  // basis positions shifted: weights are stale
   stats_.rows_deleted += del;
   // Rows were renumbered: rebuild the CSR mirror from the compacted CSC
-  // arrays (single choke point) and drop the stale hypersparse state. The
-  // factor patterns follow from the refactorization below (clear_etas).
-  factor_patterns_valid_ = false;
-  dual_rho_clean_ = false;
+  // arrays (single choke point).
   rebuild_row_mirror();
 
   if (has_basis_) {
@@ -2326,7 +2149,9 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
 }
 
 double SimplexSolver::dual_reduced_cost_drift_for_testing() const {
-  if (!has_basis_ || static_cast<int>(dual_d_.size()) != total_) return 0.0;
+  if (!has_basis_ || !factors_valid_ ||
+      static_cast<int>(dual_d_.size()) != total_)
+    return 0.0;
   std::vector<double> cb(m_);
   for (int i = 0; i < m_; ++i) cb[i] = cost_[basis_[i]];
   std::vector<double> y;
@@ -2362,6 +2187,29 @@ std::vector<double> SimplexSolver::btran_for_testing(
   return y;
 }
 
+bool SimplexSolver::replace_basic_for_testing(int pos, int col) {
+  ADVBIST_REQUIRE(pos >= 0 && pos < m_, "basis position");
+  ADVBIST_REQUIRE(col >= 0 && col < total_ && vstat_[col] != kBasic,
+                  "entering column must be nonbasic");
+  if (!ensure_factors()) cold_start();
+  std::vector<double>& w = wcol_;
+  ftran(col, w, /*keep_spike=*/true);
+  if (std::abs(w[pos]) <= opt_.pivot_tol) {
+    spike_valid_ = false;
+    return false;
+  }
+  const int leaving = basis_[pos];
+  const Status st = std::isfinite(lb_[leaving]) || !std::isfinite(ub_[leaving])
+                        ? kAtLower
+                        : kAtUpper;
+  if (!pivot(col, pos, 0.0, +1, w, st)) {
+    ensure_factors();  // the rejected update left the factors unusable
+    return false;
+  }
+  if (!std::isfinite(x_[leaving])) x_[leaving] = 0.0;  // free: pinned at 0
+  return true;
+}
+
 std::vector<double> SimplexSolver::dense_basis_for_testing() const {
   std::vector<double> b(static_cast<std::size_t>(m_) * m_, 0.0);
   for (int i = 0; i < m_; ++i) {
@@ -2379,7 +2227,7 @@ std::vector<double> SimplexSolver::dense_basis_for_testing() const {
 
 bool SimplexSolver::tableau_row(int pos, std::vector<double>& alpha,
                                 double& beta) const {
-  if (!has_basis_ || pos < 0 || pos >= m_) return false;
+  if (!has_basis_ || !factors_valid_ || pos < 0 || pos >= m_) return false;
   // rho' = e_pos' B^-1: one BTRAN of a unit vector; rho is indexed by
   // original row, so alpha'_j = rho . (scaled column j).
   std::vector<double> cb(m_, 0.0);

@@ -14,8 +14,8 @@
 //    any basis.
 //
 //  * Basis representation. The basis inverse is never formed explicitly.
-//    A periodic refactorization computes an LU factorization of the basis
-//    matrix and compresses both factors into sparse column arrays. The
+//    A refactorization computes an LU factorization of the basis matrix
+//    into flat sparse arenas that are reused across refactorizations. The
 //    default factorization is a sparse Markowitz-pivoting elimination
 //    (Suhl-style): singleton columns and rows are pivoted first at zero
 //    fill-in cost — the bases seen in this project are slack-heavy, so this
@@ -23,26 +23,35 @@
 //    remaining "bump" is eliminated choosing pivots that minimize the
 //    Markowitz count (rowcount-1)*(colcount-1) subject to a relative
 //    threshold |a_rc| >= markowitz_tol * max|a_*c| for stability. Row and
-//    column counts are maintained incrementally; only the active submatrix
+//    column counts are maintained incrementally, and the active columns sit
+//    in count buckets, so each bump step reads its few smallest-count
+//    candidates without sweeping all m columns; only the active submatrix
 //    is updated, so the cost is proportional to fill, not m^2. A basis the
 //    Markowitz elimination flags as singular (or a markowitz_tol of 0 /
 //    sparse_factorization = false) falls back to the original dense
 //    column-major sweep with partial pivoting; a basis singular under both
 //    falls back to the all-slack cold-start basis. Both factorizations
-//    produce the same sparse-column L/U arrays (plus row/column pivot
-//    permutations) consumed by FTRAN/BTRAN, so the paths are
-//    interchangeable — tests/lp/factorization_diff_test.cpp pins them
-//    against each other and a dense-inverse reference. Between
-//    refactorizations each pivot appends one sparse *eta vector* to a flat
-//    eta file (product form of the inverse). FTRAN solves B w = a as
-//    w = Ek^-1 ... E1^-1 Q (U^-1 L^-1 P a) and BTRAN solves y'B = c' by
-//    applying the eta file in reverse followed by the transposed triangular
-//    solves. A pivot therefore costs O(nnz(w)) instead of the O(m^2)
-//    dense-inverse update the first version of this file used. The eta file
-//    is compacted (refactorized away) every `refactor_every` pivots or when
-//    its fill grows past a multiple of m, whichever comes first — the same
-//    mechanism caps numerical drift; a basis unchanged across warm-started
-//    re-solves is never refactorized again.
+//    produce the same factor layout — tests/lp/factorization_diff_test.cpp
+//    pins them against each other and a dense-inverse reference.
+//
+//    Every basis change is absorbed by a Forrest–Tomlin LU update
+//    (Forrest & Tomlin 1972, in the Markowitz-compatible form of Suhl &
+//    Suhl 1993). With P B Q = L R^-1 U, the entering column's partial
+//    FTRAN R L^-1 P a_q — the "spike", saved by the entering FTRAN the
+//    pivot needs anyway — replaces the leaving position's U column; that
+//    position moves to the end of U's pivot sequence, and its old U row is
+//    eliminated against the rows after it by one short row eta appended to
+//    R. FTRAN is therefore P, L, R, U and Q; BTRAN runs them transposed in
+//    reverse. The factors always describe the current basis, so add_rows
+//    borders them directly. A refactorization fires on one of three
+//    triggers: the U arena and the row etas outgrow twice the fresh
+//    factors plus m (FTRAN/BTRAN would then cost more than refactorizing
+//    saves); an update fails its stability test — the new U diagonal
+//    disagrees with the FTRAN pivot w_r times the old diagonal, or is
+//    under pivot_tol — which refuses the pivot and refactorizes the
+//    unchanged basis (Stats::lu_update_rejections); or `refactor_every`
+//    updates have accumulated (an upper cap on drift). A basis unchanged
+//    across warm-started re-solves is never refactorized again.
 //
 //  * Pricing. A candidate list + cyclic block scan replaces full Dantzig
 //    pricing: iterate() first re-prices the surviving candidates from the
@@ -106,26 +115,21 @@
 //    visiting only the rows where rho is nonzero. The walk is engaged
 //    whenever nnz(rho) stays under hypersparse_threshold (counted in
 //    Stats::dual_hypersparse_pivots; a denser rho keeps the column-major
-//    pass and counts in Stats::dual_dense_pivots — never silent). It is
-//    safe to key the walk off the DENSE BTRAN output too: dense solves
-//    value-skip, so off-support entries are exact zeros and the sparse and
-//    dense solves produce bit-identical vectors. Which solve runs is a
-//    separate, perf-only decision: three density EWMAs (pivot-row BTRAN,
-//    entering FTRAN, flip FTRAN) start optimistic-sparse and switch each
-//    solve to the dense kernel once its output density crosses
-//    kPatternDensityGate, because pattern-tracked solves lose once the
-//    pattern stops paying (Stats::dual_btran_/dual_ftran_ sparse vs dense
-//    count the split). Measured reality on the built-in circuits: mean
-//    nnz(rho) is ~145 of ~750 rows (~19% dense — NOT the handful of
-//    nonzeros classic hypersparsity assumes), so the BTRANs adapt to the
-//    dense kernel after warmup while the indexed walk still engages on
-//    >99% of pivots. Everything is exact: identical candidate sets,
-//    entering/leaving sequences and bound flips to the dense pass, pinned
-//    by the differential traces in tests/lp/hypersparse_test.cpp.
+//    pass and counts in Stats::dual_dense_pivots — never silent). The
+//    BTRAN itself is dense: it value-skips, so off-support entries of rho
+//    are exact zeros the walk never visits. Measured reality on the
+//    built-in circuits: mean nnz(rho) is ~145 of ~750 rows (~19% dense —
+//    NOT the handful of nonzeros classic hypersparsity assumes), which is
+//    why pattern-tracked triangular solves never paid here, while the
+//    indexed walk still engages on >99% of pivots. Everything is exact:
+//    identical candidate sets, entering/leaving sequences and bound flips
+//    to the dense pass, pinned by the differential traces in
+//    tests/lp/hypersparse_test.cpp.
 //
 // Problem sizes in this project are a few thousand rows/columns; the sparse
-// factorization keeps the refactorization cost proportional to fill while
-// the eta file keeps the per-pivot cost proportional to actual fill.
+// factorization keeps the refactorization cost proportional to fill and
+// the LU update keeps the per-pivot cost proportional to the update's
+// fill.
 #pragma once
 
 #include <cstdint>
@@ -186,10 +190,10 @@ struct SimplexOptions {
   double opt_tol = 1e-7;    ///< reduced-cost optimality tolerance
   double pivot_tol = 1e-9;  ///< minimum acceptable pivot magnitude
   int max_iterations = 500000;
-  /// Pivots between basis refactorizations. The sparse factorization made
-  /// compaction cheap, so a short interval (short eta file, fast
-  /// FTRAN/BTRAN) beats the dense-era default of 100.
-  int refactor_every = 50;
+  /// Upper cap on the LU updates between basis refactorizations. Growth
+  /// and the update stability test refactorize earlier when needed; the
+  /// cap only bounds the drift a long update chain can accumulate.
+  int refactor_every = 200;
   /// Use the sparse Markowitz factorization (false: dense sweep only).
   bool sparse_factorization = true;
   /// Relative threshold-pivoting tolerance in (0, 1]: a Markowitz pivot
@@ -205,12 +209,10 @@ struct SimplexOptions {
   /// Hyper-sparse dual ratio test: price alpha_j = rho' a_j by an indexed
   /// walk over a row-wise CSR mirror of the structural columns (visiting
   /// only the rows where the BTRANed pivot row rho is nonzero) instead of
-  /// a dense pass over every nonbasic column, and let density EWMAs pick
-  /// pattern-tracked vs dense kernels for the pivot-row BTRAN and the
-  /// entering/flip FTRANs per solve. Exact: a pivot row denser than
-  /// hypersparse_threshold keeps the dense pass (counted in
-  /// Stats::dual_dense_pivots, never silent), and both kernel choices
-  /// produce bit-identical vectors (see the header comment).
+  /// a dense pass over every nonbasic column. Exact: a pivot row denser
+  /// than hypersparse_threshold keeps the dense pass (counted in
+  /// Stats::dual_dense_pivots, never silent), and both passes produce
+  /// bit-identical alphas (see the header comment).
   bool hypersparse = true;
   /// Pivot-row density cutoff in (0, 1]: the indexed walk engages only
   /// while nnz(rho) <= max(8, threshold * m) (a dense rho makes the walk
@@ -287,11 +289,12 @@ class SimplexSolver {
   /// slack-basic row keeps the basis nonsingular AND dual-feasible (the new
   /// row's dual value is zero, so no reduced cost moves), which is why the
   /// natural follow-up is solve_dual(). The factorization is extended in
-  /// place: with current factors P B Q = L U, the bordered basis factors as
-  /// L' = [[L,0],[l',1]], U' = [[U,0],[0,1]] where l' solves
-  /// l' U = (new row over the basic columns) — one sparse triangular
-  /// solve and an O(nnz) L rebuild per row, never a cold start. (A non-empty
-  /// eta file is compacted first so the factors describe the current basis.)
+  /// place: with current factors P B Q = L R^-1 U, the bordered basis
+  /// factors as L' = [[L,0],[l',1]], U' = [[U,0],[0,1]] where
+  /// l' = g' U^-1 R for the new row g over the basic columns — one sparse
+  /// triangular solve per row, appended to L as a row eta, never a cold
+  /// start and never a refactorization (the LU update keeps the factors
+  /// describing the current basis).
   /// Devex/steepest-edge dual weights are reset (the row dimension changed).
   void add_rows(const std::vector<ConstraintDef>& rows);
 
@@ -404,6 +407,12 @@ class SimplexSolver {
     long long factor_fill_nnz = 0;
     long long basis_pivots = 0;
     long long bound_flips = 0;
+    /// Basis changes absorbed by a Forrest–Tomlin LU update.
+    long long lu_updates = 0;
+    /// Updates that failed the stability test (new U diagonal vs. the
+    /// FTRAN pivot times the old diagonal, or a diagonal under pivot_tol):
+    /// the pivot is refused and the unchanged basis refactorized.
+    long long lu_update_rejections = 0;
 
     // --- dual simplex (solve_dual) ---
     long long dual_solves = 0;     ///< solve_dual() calls
@@ -432,15 +441,6 @@ class SimplexSolver {
     /// Cumulative nnz of the BTRANed pivot rows over all dual pivots;
     /// mean = / (dual_hypersparse_pivots + dual_dense_pivots).
     long long dual_rho_nnz = 0;
-    /// Entering/flip-column FTRANs solved with pattern tracking vs the
-    /// dense path inside the dual iteration (the adaptive density gate
-    /// picks per solve; both produce bit-identical vectors).
-    long long dual_ftran_sparse = 0;
-    long long dual_ftran_dense = 0;
-    /// Pivot-row BTRANs solved with pattern tracking vs the dense path
-    /// (density gate + cutoff abort; bit-identical either way).
-    long long dual_btran_sparse = 0;
-    long long dual_btran_dense = 0;
 
     // --- row deletion (delete_rows) ---
     long long rows_deleted = 0;  ///< cut rows aged out of the LP
@@ -452,8 +452,10 @@ class SimplexSolver {
     // counter tallies the times that rung was climbed to. The rung resets
     // once the solve makes pivot progress again (a fresh incident restarts
     // at rung 0) and at every public solve entry.
-    long long recovery_refactorize = 0;  ///< rung 0: eta file compacted away
-    long long recovery_tighten = 0;  ///< rung 1: markowitz_tol tightened 5x
+    long long recovery_refactorize = 0;  ///< rung 0: fresh refactorization
+    /// rung 1: markowitz_tol tightened 5x, pivot_tol raised 100x (<= 1e-7),
+    /// LU update chain cut to 25 for the next 1000 iterations
+    long long recovery_tighten = 0;
     long long recovery_dense = 0;    ///< rung 2: dense LU forced
     long long recovery_cold = 0;     ///< rung 3: cold primal restart
     /// Solves abandoned with the ladder exhausted (reported kIterLimit on
@@ -473,8 +475,8 @@ class SimplexSolver {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Forces an immediate refactorization of the current basis
-  /// (cold-starting one first if none exists), discarding the eta file and
-  /// any accumulated drift. Returns false if the basis was singular under
+  /// (cold-starting one first if none exists), discarding the LU updates
+  /// and any accumulated drift. Returns false if the basis was singular under
   /// both factorization paths (the solver then cold-starts). The exit
   /// audit uses this to recompute the claimed dual bound on fresh factors.
   bool refresh_factorization();
@@ -482,7 +484,7 @@ class SimplexSolver {
   // --- testing/diagnostic hooks (tests/lp/factorization_diff_test.cpp) ---
   /// Test-suite alias for refresh_factorization().
   bool refactorize_for_testing() { return refresh_factorization(); }
-  /// Solves B w = rhs with the current factorization + eta file. `rhs` is
+  /// Solves B w = rhs with the current (updated) factors. `rhs` is
   /// indexed by original row; the result by basis position.
   [[nodiscard]] std::vector<double> ftran_for_testing(
       std::vector<double> rhs) const;
@@ -493,6 +495,14 @@ class SimplexSolver {
   /// Dense column-major copy of the current basis matrix (m x m; column i
   /// is the column of basis()[i]).
   [[nodiscard]] std::vector<double> dense_basis_for_testing() const;
+  /// Exchanges basis position `pos` for the nonbasic column `col` (tableau
+  /// indexing) through the same LU update a simplex pivot uses; the
+  /// leaving variable goes nonbasic at a finite bound (0 if free). Basic
+  /// values are recomputed by the next solve. Returns false, leaving the
+  /// basis unchanged, when the pivot element |(B^-1 a_col)_pos| is under
+  /// pivot_tol or the update fails its stability test (the unchanged basis
+  /// is then refactorized).
+  bool replace_basic_for_testing(int pos, int col);
   [[nodiscard]] int num_rows() const { return m_; }
   [[nodiscard]] const std::vector<int>& basis() const { return basis_; }
 
@@ -524,7 +534,6 @@ class SimplexSolver {
   enum Status : std::int8_t { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 
   void cold_start();
-  void clear_etas();
   void compute_basic_values();
   /// Rebuilds the LU factors from basis_: Markowitz first (when enabled),
   /// dense sweep as the singularity fallback; false if both flag the basis
@@ -532,15 +541,26 @@ class SimplexSolver {
   bool refactorize();
   bool refactorize_markowitz();  // sparse elimination; false if singular
   bool refactorize_dense();      // dense partial-pivot sweep; false if singular
+  /// Shared tail of both factorization paths: fill stats, then
+  /// reset_updates().
+  void finish_factorization(long long basis_nnz);
+  /// Restarts the update state on fresh factors: U sequence and L column
+  /// list, inverse column permutation, empty row-eta files, update budget.
+  void reset_updates();
+  /// Forrest–Tomlin update after basis position `pos` took the column
+  /// whose spike the last entering FTRAN saved; `alpha` is that FTRAN's
+  /// pivot element w[pos]. Returns false — factors unusable, the caller
+  /// refactorizes — when no spike is saved or the stability test fails.
+  bool update_factors(int pos, double alpha);
 
   /// Numerical-recovery escalation ladder, called on a troubled iteration
   /// (rc == 3: rejected pivots, residual drift). Fresh incidents — at
   /// least one pivot since the last trouble — restart at rung 0; repeated
   /// trouble with no progress climbs: refactorize -> tighten markowitz_tol
-  /// -> force the dense LU -> cold primal restart. Returns false when even
-  /// the top rung was already spent (the caller abandons the solve:
-  /// kIterLimit on the primal path, primal fallback on the dual path).
-  /// Leaves basic values recomputed on success.
+  /// and pivot_tol -> force the dense LU -> cold primal restart. Returns
+  /// false when even the top rung was already spent (the caller abandons
+  /// the solve: kIterLimit on the primal path, primal fallback on the dual
+  /// path). Leaves basic values recomputed on success.
   bool escalate_recovery();
 
   /// Controller poll for the iteration loops: true when the solve must
@@ -551,10 +571,11 @@ class SimplexSolver {
   }
 
   /// In-place B^{-1} v for a dense vector indexed by original row; the
-  /// result is indexed by basis position.
-  void ftran_vec(std::vector<double>& v) const;
+  /// result is indexed by basis position. `keep_spike` saves the partial
+  /// solve R L^-1 P v for a following update_factors().
+  void ftran_vec(std::vector<double>& v, bool keep_spike = false) const;
   /// w = B^{-1} a_col for a (structural or slack) column.
-  void ftran(int col, std::vector<double>& w) const;
+  void ftran(int col, std::vector<double>& w, bool keep_spike = false) const;
   /// y' = cb' B^{-1}: cb is indexed by basis position, y by original row.
   void btran(const std::vector<double>& cb, std::vector<double>& y) const;
 
@@ -580,17 +601,29 @@ class SimplexSolver {
   /// 2 = unbounded (phase 2 only), 3 = numerical trouble (refactor & retry).
   int iterate(bool phase1, bool bland);
 
-  void pivot(int entering, int leaving_row, double t, int entering_dir,
-             const std::vector<double>& w, Status leaving_status);
+  /// Applies a pivot (leaving_row >= 0) or bound flip (leaving_row < 0)
+  /// along the FTRANed entering column w. A pivot first runs the LU update;
+  /// if that fails its stability test the pivot is rejected — basis and
+  /// values untouched, factors marked unusable — and false is returned
+  /// (the caller reports numerical trouble, rc 3).
+  [[nodiscard]] bool pivot(int entering, int leaving_row, double t,
+                           int entering_dir, const std::vector<double>& w,
+                           Status leaving_status);
 
   // --- dual simplex internals (solve_dual) ---
   /// The primal phase-1/phase-2 loop shared by solve() and the dual
   /// fallback; assumes counters were reset by the public entry point.
   LpResult run_primal();
-  /// True when the eta file should be compacted: the pivot-count budget or
-  /// the fill budget (long FTRAN/BTRAN chains cost more than the
-  /// refactorization they avoid) is exhausted.
-  [[nodiscard]] bool needs_compaction() const;
+  /// True when the loops must refactorize before the next iteration: the
+  /// factors are unusable (a rejected update or a singular
+  /// refactorization), the update cap is reached, or U and the row etas
+  /// outgrew their budget (FTRAN/BTRAN would cost more than the
+  /// refactorization saves).
+  [[nodiscard]] bool needs_refactor() const;
+  /// Refactorizes factors a failed update left unusable. Returns has_basis_:
+  /// false when there is no basis or it proved singular (dropped, so the
+  /// next solve cold-starts).
+  bool ensure_factors();
   /// Fills the per-solve iteration split of `result` and folds it into the
   /// cumulative stats. Must run exactly once per public solve entry.
   void finalize_result(LpResult& result, LpStatus status);
@@ -619,36 +652,12 @@ class SimplexSolver {
   void update_dual_weights(int r, const std::vector<double>& w,
                            const std::vector<double>& rho);
 
-  // --- hypersparsity (pattern-tracked solves + indexed ratio test) ---
+  // --- hypersparse dual ratio test ---
   /// Rebuilds the row-wise CSR mirror of the structural columns from the
   /// CSC arrays. The SINGLE choke point for mirror maintenance — called
   /// from the constructor, add_rows() and delete_rows() right after the
   /// CSC arrays change, so a stale mirror is impossible by construction.
   void rebuild_row_mirror();
-  /// Lazily rebuilds the transposed factor patterns (row lists of U and
-  /// L) and the perm/cperm inverses consumed by the pattern-tracked
-  /// solves. Invalidated (factor_patterns_valid_ = false) whenever the
-  /// factors change: every refactorization / cold start (via
-  /// clear_etas) and the add_rows bordered extension.
-  void ensure_factor_patterns();
-  /// Pattern-tracked BTRAN of the unit vector e_r (rho' = e_r' B^{-1}).
-  /// On success dual_rho_ holds the pivot row (exactly zero off-pattern),
-  /// dual_rho_pattern_ its unsorted nonzero rows (used only for the scoped
-  /// clear and the nnz stat), and dual_rho_clean_ is set. Returns false —
-  /// caller redoes the solve densely and counts the fallback — when the
-  /// pattern outgrows hypersparse_threshold * m.
-  bool btran_unit_sparse(int r);
-  /// Pattern-tracked ftran_vec: v (indexed by original row, exactly zero
-  /// outside `pattern`) is solved in place to B^{-1} v (indexed by basis
-  /// position); `pattern` is replaced by the unsorted result pattern. Does
-  /// the same numeric work in the same order as the value-skipping dense
-  /// solve — bit-identical results — but skips the O(m) position scans
-  /// when the support is genuinely sparse.
-  void ftran_vec_sparse(std::vector<double>& v, std::vector<int>& pattern);
-  /// w = B^{-1} a_col with pattern tracking (ftran_vec_sparse seeded from
-  /// the column); `pattern` returns the unsorted nonzero basis positions.
-  void ftran_col_sparse(int col, std::vector<double>& w,
-                        std::vector<int>& pattern);
 
   // --- problem data (immutable except bounds and appended cut rows) ---
   int n_ = 0;          // structural variables
@@ -689,28 +698,71 @@ class SimplexSolver {
 
   // --- basis factorization ---
   // Both refactorization paths (sparse Markowitz elimination; dense
-  // column-major sweep as fallback) emit the same compressed sparse-column
-  // factors of P B Q = L U: the bases seen here are slack-heavy and the
-  // factors stay close to the identity, so FTRAN / BTRAN over the
-  // compressed columns cost O(nnz(L)+nnz(U)) instead of O(m^2) dense
-  // triangular solves. perm_ is the row pivot order P, cperm_ the column
-  // pivot order Q (identity for the dense sweep, which pivots columns in
-  // basis order).
-  std::vector<int> perm_;   // row permutation: lu row i <- original row perm_[i]
-  std::vector<int> cperm_;  // col permutation: lu col k <- basis position cperm_[k]
+  // column-major sweep as fallback) emit the same factors of the current
+  // basis, P B Q = L R^-1 U, over one "factor index" space. perm_ is the
+  // row permutation P, cperm_ the column permutation Q (identity for the
+  // dense sweep, which pivots columns in basis order). L is unit lower
+  // triangular in factor-index order: fixed columns from the
+  // factorization plus row etas for the rows add_rows bordered on. R is
+  // the product of the Forrest–Tomlin row etas. U is upper triangular
+  // with respect to its pivot sequence u_seq_, which starts as the factor
+  // order and sends each updated index to the end. All arrays are flat
+  // and keep their capacity across refactorizations.
+  std::vector<int> perm_;       // factor row i <- original row perm_[i]
+  std::vector<int> cperm_;      // factor index k <- basis position cperm_[k]
+  std::vector<int> cperm_inv_;  // basis position -> factor index
   std::vector<int> l_start_, l_idx_;  // unit-L off-diagonal columns (i > k)
   std::vector<double> l_val_;
-  std::vector<int> u_start_, u_idx_;  // U strictly-above-diagonal columns
+  std::vector<int> l_cols_;  // indices with a non-empty L column, ascending
+  /// Row-eta file over factor indices. Eta e rewrites entry pivot[e] as
+  /// v[pivot[e]] -= sum of val[p] * v[idx[p]] for p in [start[e],
+  /// start[e+1]) (FTRAN, oldest first); the transposed application
+  /// (BTRAN, newest first) scatters v[pivot[e]] along the same entries.
+  struct RowEtaFile {
+    std::vector<int> pivot;
+    std::vector<int> start{0};
+    std::vector<int> idx;
+    std::vector<double> val;
+    void clear() {
+      pivot.clear();
+      start.assign(1, 0);
+      idx.clear();
+      val.clear();
+    }
+    /// Closes the entries appended since the last close as the eta of
+    /// factor index `row`.
+    void close(int row) {
+      pivot.push_back(row);
+      start.push_back(static_cast<int>(idx.size()));
+    }
+    void ftran(std::vector<double>& v) const;
+    void btran(std::vector<double>& v) const;
+  };
+  RowEtaFile l_rows_;   // L rows bordered on by add_rows
+  RowEtaFile ft_etas_;  // Forrest–Tomlin row etas (R)
+  // U columns as segments of one arena: factor index k owns entries
+  // u_beg_[k] .. u_beg_[k] + u_len_[k] of u_idx_/u_val_ (factor-index rows
+  // before k in u_seq_). An update appends the new column at the arena's
+  // end and abandons the old segment, so the arena only grows until the
+  // next refactorization.
+  std::vector<int> u_beg_, u_len_;
+  std::vector<int> u_idx_;
   std::vector<double> u_val_;
-  std::vector<double> u_diag_;        // U diagonal, size m_
-
-  // Eta file as a flat arena (no per-pivot allocation): eta k covers
-  // entries eta_start_[k] .. eta_start_[k+1] of eta_idx_/eta_val_.
-  std::vector<int> eta_row_;
-  std::vector<double> eta_diag_;
-  std::vector<int> eta_start_;  // size num_etas+1
-  std::vector<int> eta_idx_;
-  std::vector<double> eta_val_;
+  std::vector<double> u_diag_;  // U diagonal, size m_
+  // U pivot order of the nontrivial indices (trivial ones — no column,
+  // unit diagonal — precede them implicitly); -1 marks a vacated slot.
+  std::vector<int> u_seq_;
+  std::vector<int> u_seq_pos_;  // factor index -> its slot in u_seq_, or -1
+  bool factors_valid_ = false;  // factors describe basis_
+  long long update_budget_ = 0;  // arena + row-eta nnz that trigger a refactor
+  // Spike of the last keep_spike FTRAN (factor-index space), consumed by
+  // update_factors. Mutable: the FTRAN that saves it is a const solve.
+  mutable std::vector<int> spike_idx_;
+  mutable std::vector<double> spike_val_;
+  mutable bool spike_valid_ = false;
+  // update_factors scratch: row-eta multipliers, exactly zero between uses.
+  std::vector<double> ft_r_;
+  std::vector<int> ft_touched_;
 
   // --- partial pricing state ---
   std::vector<int> candidates_;  // surviving candidate columns
@@ -718,7 +770,6 @@ class SimplexSolver {
 
   // --- scratch (avoid per-iteration allocation) ---
   mutable std::vector<double> work_;        // ftran/btran solves
-  mutable std::vector<double> work2_;       // second solve buffer (btran)
   std::vector<double> phase_cost_;          // composite phase-1 objective
   std::vector<double> duals_;               // y
   std::vector<double> cb_;                  // basic costs
@@ -768,40 +819,9 @@ class SimplexSolver {
   // delete_rows() — so it cannot go stale against the CSC arrays.
   std::vector<int> row_start_, row_col_;
   std::vector<double> row_val_;
-  // Transposed factor patterns for the pattern-tracked BTRAN: for factor
-  // index k, the U columns j > k with an entry in row k (ur_) and the L
-  // columns j < k with an entry in row k (lr_) — i.e. the row patterns
-  // of U and L — plus the perm/cperm inverses.
-  bool factor_patterns_valid_ = false;
-  std::vector<int> ur_start_, ur_col_, lr_start_, lr_col_;
-  std::vector<int> perm_inv_, cperm_inv_;
-  // Pattern-solve scratch. Invariant: all-zero between uses (every solve
-  // cleans exactly the entries its pattern touched).
-  std::vector<double> hs_zb_;             // basis-position values
-  std::vector<unsigned char> hs_markb_;   // basis-position marks
-  std::vector<double> hs_zf_;             // factor-order values
-  std::vector<unsigned char> hs_markf_;   // factor-order marks
-  std::vector<unsigned char> hs_seedmark_;  // original-row seed dedup
-  std::vector<int> hs_patb_, hs_patf_;    // pattern list scratch
-  std::vector<int> dual_rho_pattern_;  // unsorted nonzero rows of dual_rho_
-  bool dual_rho_sparse_ = false;  // pattern valid for the current pivot row
-  bool dual_rho_clean_ = false;   // dual_rho_ exactly zero off-pattern
   // Alpha accumulator over the structural columns (indexed ratio walk);
   // exactly zero between uses.
-  std::vector<double> hs_acc_;              // size n_
-  std::vector<int> wcol_pattern_;  // entering-column FTRAN pattern
-  std::vector<int> fcol_pattern_;  // flip-column FTRAN pattern
-  // Adaptive FTRAN gate: EWMA of recent result densities for the entering
-  // column and flip-accumulator solves. Pattern tracking only runs while
-  // the estimate stays under the gate; both paths produce bit-identical
-  // vectors, so switching never perturbs the pivot trajectory. Starts
-  // optimistic (density 0) so sparse workloads take the tracked path
-  // immediately and dense ones pay at most a handful of tracked solves.
-  static constexpr double kPatternDensityGate = 0.05;
-  static constexpr double kPatternDensityAlpha = 0.05;
-  double hs_wcol_density_ = 0.0;
-  double hs_fcol_density_ = 0.0;
-  double hs_rho_density_ = 0.0;  // BTRANed pivot-row density EWMA
+  std::vector<double> row_acc_;  // size n_
   std::vector<DualPivotTrace>* dual_trace_ = nullptr;  // testing hook
 
   // Markowitz elimination workspace, reused across refactorizations so the
@@ -829,17 +849,39 @@ class SimplexSolver {
     std::vector<int> l_orig_rows;
     std::vector<double> l_vals;
     std::vector<int> l_starts;
-    // U entries frozen per factor column as (pivot step, value).
-    std::vector<std::vector<std::pair<int, double>>> ucols;
+    // U entries frozen as (active column, pivot step, value) triplets in
+    // freeze order; grouped into factor columns once the pivot order is
+    // known (ufill is the grouping cursor).
+    std::vector<int> u_col, u_step, ufill;
+    std::vector<double> u_val;
+    // Count buckets for the bump search: bhead[c] heads an intrusive
+    // doubly linked list (bnext/bprev) of the active columns with colcount
+    // c; bmin is a lower bound on the smallest non-empty bucket and
+    // blinked the number of linked columns.
+    std::vector<int> bhead, bnext, bprev;
+    int bmin = 0;
+    int blinked = 0;
   };
   MarkowitzWorkspace mw_;
 
   Stats stats_;
   Options opt_;
   // Escalation-ladder state (see escalate_recovery): the configured
-  // markowitz_tol is restored at every public solve entry after a rung-1
-  // tighten, and the rung restarts at 0.
+  // markowitz_tol and pivot_tol are restored at every public solve entry
+  // after a rung-1 tighten, and the rung restarts at 0.
   double cfg_markowitz_tol_ = 0.1;
+  double cfg_pivot_tol_ = 1e-9;
+  // Recovery rung 1 caps the LU update chain at kShortChainUpdates until
+  // the solve's iteration count reaches short_chain_until_ (reset at every
+  // public solve entry).
+  static constexpr int kShortChainUpdates = 25;
+  // An update refuses pivots |alpha| <= kUpdatePivotScale * pivot_tol:
+  // on these O(1)-coefficient models such a pivot is FTRAN cancellation
+  // noise, and taking it makes the basis singular. Recovery rung 1 raises
+  // pivot_tol to the same level, so the ratio tests stop offering them.
+  static constexpr double kUpdatePivotScale = 100.0;
+  static constexpr int kShortChainIterations = 1000;
+  int short_chain_until_ = 0;
   int recovery_rung_ = 0;
   int iters_at_last_trouble_ = -1;
   util::SolveController* ctrl_ = nullptr;

@@ -23,7 +23,7 @@
 // hardware thread); parallel solves prove the same optimum as serial ones.
 //
 // LP factorization knobs (all commands that solve):
-//   --refactor N   pivots between basis refactorizations (default 50)
+//   --refactor N   cap on LU updates between refactorizations (default 200)
 //   --mtol X       Markowitz threshold-pivoting tolerance in (0,1]
 //                  (default 0.1; larger = more stable, more fill)
 //   --dense-lu     disable the sparse Markowitz factorization (dense sweep)
@@ -673,13 +673,14 @@ int main(int argc, char** argv) {
         std::printf(
             "     lp: %lld iterations (%lld phase-1 / %lld phase-2 / %lld "
             "dual), %lld refactorizations (%lld sparse, "
-            "%lld dense fallbacks), fill %.3f, %lld pivot rejections, %d "
-            "threads\n",
+            "%lld dense fallbacks), fill %.3f, %lld pivot rejections, "
+            "%lld LU updates (%lld unstable), %d threads\n",
             st.lp_iterations, st.lp_primal_phase1_iterations,
             st.lp_primal_phase2_iterations, st.lp_dual_iterations,
             st.lp_refactorizations,
             st.lp_sparse_refactorizations, st.lp_sparse_fallbacks,
-            st.lp_fill_ratio, st.lp_pivot_rejections, st.threads);
+            st.lp_fill_ratio, st.lp_pivot_rejections, st.lp_lu_updates,
+            st.lp_lu_update_rejections, st.threads);
       if (st.lp_dual_solves > 0)
         std::printf(
             "     dual: %lld re-solves (%lld fell back to primal), %lld "
@@ -692,15 +693,12 @@ int main(int argc, char** argv) {
             st.lp_dual_hypersparse_pivots + st.lp_dual_dense_pivots;
         std::printf(
             "     hypersparse: %lld of %lld dual pivots sparse (%.1f%%), "
-            "mean rho nnz %.1f, btrans %lld sparse / %lld dense, "
-            "ftrans %lld sparse / %lld dense\n",
+            "mean rho nnz %.1f\n",
             st.lp_dual_hypersparse_pivots, piv,
             100.0 * static_cast<double>(st.lp_dual_hypersparse_pivots) /
                 static_cast<double>(piv),
             static_cast<double>(st.lp_dual_rho_nnz) /
-                static_cast<double>(piv),
-            st.lp_dual_btran_sparse, st.lp_dual_btran_dense,
-            st.lp_dual_ftran_sparse, st.lp_dual_ftran_dense);
+                static_cast<double>(piv));
       }
       if (st.strong_branch_probed > 0)
         std::printf(

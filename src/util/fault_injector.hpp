@@ -1,10 +1,10 @@
 // Deterministic fault injection for the solve-lifecycle hardening tests.
 //
 // The LP kernel and the branch & bound driver carry cheap hook points
-// (factorization declared singular, an eta entry perturbed, a node/cut
-// allocation refused, a spontaneous cancellation). With no injector active
-// every hook is a single pointer load; with one active, each visit to a
-// hook fires on a deterministic seeded schedule — hash(seed, site, visit
+// (factorization declared singular, an LU-update diagonal perturbed, a
+// node/cut allocation refused, a spontaneous cancellation). With no injector
+// active every hook is a single pointer load; with one active, each visit to
+// a hook fires on a deterministic seeded schedule — hash(seed, site, visit
 // counter) — so "the factorization went singular on its 12th rebuild"
 // replays exactly under the same seed, independent of wall clock.
 //
@@ -27,7 +27,7 @@ namespace advbist::util {
 
 enum class FaultSite : int {
   kFactorSingular = 0,  ///< sparse refactorization reports singular
-  kEtaPerturb,          ///< pivot eta diagonal perturbed (residual drift)
+  kEtaPerturb,          ///< LU-update U diagonal perturbed (residual drift)
   kNodeAlloc,           ///< node-pool publish refused (node dropped)
   kCutAlloc,            ///< cut-pool add refused (cut discarded)
   kCancel,              ///< spontaneous cancellation request

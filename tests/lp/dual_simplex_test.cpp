@@ -181,9 +181,12 @@ TEST(DualSimplex, RandomizedBoundSequencesMatchPrimalAndCold) {
   // total (ratio, col) breakpoint order. Any change to those rules — or a
   // hypersparse/dense divergence, since hypersparsity defaults on — moves
   // at least one of these counts. Re-pin deliberately, never to "fix CI".
-  EXPECT_EQ(dantzig, 105);
-  EXPECT_EQ(devex, 105);
-  EXPECT_EQ(se, 101);
+  // (Last re-pinned when the Forrest–Tomlin LU update replaced the eta
+  // file: FTRAN/BTRAN round differently, which moves degenerate
+  // tie-breaks; the three rules stay within a few pivots of each other.)
+  EXPECT_EQ(dantzig, 104);
+  EXPECT_EQ(devex, 103);
+  EXPECT_EQ(se, 100);
 }
 
 TEST(DualSimplex, AddAndDeleteRowSequencesMatchCold) {

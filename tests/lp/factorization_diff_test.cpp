@@ -36,7 +36,7 @@ SimplexOptions options_for(bool sparse) {
   SimplexOptions o;
   o.sparse_factorization = sparse;
   // A tiny interval forces many refactorizations per solve so every case
-  // actually exercises the factorization under test, not just the eta file.
+  // actually exercises the factorization under test, not just the LU updates.
   o.refactor_every = 3;
   return o;
 }
@@ -198,7 +198,7 @@ class FactorizationDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 // 1. Sparse-LU FTRAN/BTRAN vs the dense-inverse reference, on the optimal
 //    basis the solve ends in (plus a forced refactorization so the factors
-//    under test are fresh, not an eta-file product).
+//    under test are fresh, not an LU-update product).
 TEST_P(FactorizationDiff, FtranBtranMatchDenseReference) {
   const std::uint64_t seed = GetParam();
   SCOPED_TRACE("seed " + std::to_string(seed));

@@ -9,7 +9,7 @@
 // exactly what the Gomory separator consumes, so it is pinned:
 //   * on the optimal basis of seeded random LPs,
 //   * after add_rows (cut rows) and delete_rows (aged cut rows),
-//   * after a forced refactorization (fresh factors, empty eta file), and
+//   * after a forced refactorization (fresh factors, no LU updates), and
 //   * with power-of-two scaling active (unscaling must be exact).
 #include <gtest/gtest.h>
 
