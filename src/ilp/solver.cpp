@@ -368,12 +368,6 @@ class Worker {
 
   static lp::SimplexOptions simplex_options(const Options& opt) {
     lp::SimplexOptions so;
-    so.refactor_every = std::max(1, opt.lp_refactor_every);
-    so.sparse_factorization = opt.lp_sparse_factorization;
-    so.markowitz_tol = opt.lp_markowitz_tol;
-    so.dual_pricing = opt.lp_dual_pricing;
-    so.hypersparse = opt.lp_hypersparse;
-    so.hypersparse_threshold = opt.lp_hypersparse_threshold;
     so.scaling = opt.lp_scaling;
     return so;
   }
@@ -572,13 +566,12 @@ class Worker {
     return applied;
   }
 
-  /// One node LP re-solve on the configured path — the dual simplex by
-  /// default (the warm basis stays dual-feasible across branching bound
-  /// changes and slack-basic row appends; lp::SimplexSolver falls back to
-  /// the primal path itself when it is not) — followed by cut-row aging.
+  /// One node LP re-solve by the dual simplex (the warm basis stays
+  /// dual-feasible across branching bound changes and slack-basic row
+  /// appends; lp::SimplexSolver falls back to the primal path itself when
+  /// it is not), followed by cut-row aging.
   LpResult resolve_lp() {
-    LpResult lp = ctx_.options->lp_dual_simplex ? simplex_.solve_dual()
-                                                : simplex_.solve();
+    LpResult lp = simplex_.solve_dual();
     if (lp.status == LpStatus::kIterLimit) {
       // A warm re-solve that burned the whole iteration budget is almost
       // always a mangled warm basis (degenerate stalling after bound
@@ -772,8 +765,7 @@ class Worker {
         }
         --allowance;
         simplex_.set_variable_bounds(c.v, plo, phi);
-        const LpResult probe =
-            opt.lp_dual_simplex ? simplex_.solve_dual() : simplex_.solve();
+        const LpResult probe = simplex_.solve_dual();
         ctx_.lp_iterations.fetch_add(probe.iterations);
         ctx_.reliability_probed.fetch_add(1, std::memory_order_relaxed);
         simplex_.set_variable_bounds(c.v, lo, hi);
@@ -917,8 +909,7 @@ class Worker {
       double t = std::clamp(std::round(x[pick]), lo, hi);
       for (int attempt = 0;; ++attempt) {
         dive_lp_->set_variable_bounds(pick, t, t);
-        LpResult lp =
-            opt.lp_dual_simplex ? dive_lp_->solve_dual() : dive_lp_->solve();
+        LpResult lp = dive_lp_->solve_dual();
         ctx_.lp_iterations.fetch_add(lp.iterations);
         const bool ok = lp.status == LpStatus::kOptimal &&
                         !ctx_.prunable(ctx_.node_bound(lp.objective));
@@ -1653,8 +1644,7 @@ Solution Solver::solve_impl(const Model& input,
           root_lp->add_rows(rows);
           // The appended rows enter slack-basic, so the dual re-solve path
           // applies at the root exactly as it does in the tree.
-          rlp = options_.lp_dual_simplex ? root_lp->solve_dual()
-                                         : root_lp->solve();
+          rlp = root_lp->solve_dual();
           ctx.lp_iterations.fetch_add(rlp.iterations);
           if (rlp.status == LpStatus::kInfeasible) {
             // Valid cuts + feasible LP turned infeasible: no integer point.
@@ -1746,11 +1736,6 @@ Solution Solver::solve_impl(const Model& input,
     // root optimum, not a stale pre-fixing one (their seeds enter the
     // store at full reliability weight — they must be exact).
     LpResult base = rlp;
-    // Probes honor lp_dual_simplex like every other re-solve site, so a
-    // --dual 0 run really never touches the dual path.
-    const auto probe_solve = [&] {
-      return options_.lp_dual_simplex ? sb.solve_dual() : sb.solve();
-    };
     // Probe solves are iteration-capped and routinely hit the cap; keep
     // them out of the dual_solves/dual_fallbacks health diagnostic (which
     // measures warm-start quality of NODE re-solves) by snapshotting.
@@ -1801,7 +1786,7 @@ Solution Solver::solve_impl(const Model& input,
           const double phi = up ? hi : fl;
           if (plo > phi) continue;  // a prior fixing emptied this branch
           sb.set_variable_bounds(c.v, plo, phi);
-          const LpResult probe = probe_solve();
+          const LpResult probe = sb.solve_dual();
           ctx.lp_iterations.fetch_add(probe.iterations);
           ++sol.stats.strong_branch_probed;
           sb.set_variable_bounds(c.v, lo, hi);
@@ -1842,7 +1827,7 @@ Solution Solver::solve_impl(const Model& input,
           // later candidate's degradation is measured against the true
           // current base, then restore the probe budget.
           sb.set_max_iterations(lp::SimplexOptions{}.max_iterations);
-          const LpResult rebase = probe_solve();
+          const LpResult rebase = sb.solve_dual();
           ctx.lp_iterations.fetch_add(rebase.iterations);
           sb.set_max_iterations(std::max(1, options_.strong_branch_lp_iters));
           if (rebase.status == LpStatus::kInfeasible) {

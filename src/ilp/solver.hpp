@@ -91,10 +91,9 @@ struct Options {
   /// off the LU factors — one BTRAN per fractional integer basic — so the
   /// first few rounds are where the class pays; deeper rounds mostly
   /// produce dense, rejected rows. Off by default: on the built-in HLS
-  /// circuits the warm-dual/devex path proves optima in fewer nodes
-  /// without the extra rows (the bench A/B pair keeps the trade-off
-  /// measured); the class pays on weaker configurations (dantzig pricing,
-  /// primal-only re-solves) and on general MPS/LP input.
+  /// circuits the warm dual re-solves prove optima in fewer nodes without
+  /// the extra rows. Whether the class pays on the product path
+  /// (perfbench/) is still open; it may pay on general MPS/LP input.
   int gomory_rounds = 0;
   /// Separate lifted odd-cycle cuts from the conflict graph
   /// (`--odd-cycle 0|1`). Shares the clique machinery's graph; enabling
@@ -115,46 +114,12 @@ struct Options {
   /// Worker threads for the tree search. 1 = serial (in-process, no thread
   /// spawn); 0 = one per hardware thread; negative = serial; capped at 64.
   int num_threads = 1;
-  // --- LP basis-factorization knobs (forwarded to every worker's simplex,
-  // see lp::SimplexOptions) ---
-  /// Upper cap on the LU updates between basis refactorizations (see
-  /// lp::SimplexOptions::refactor_every).
-  int lp_refactor_every = 200;
-  /// Sparse Markowitz LU (default); false = dense partial-pivot sweep only.
-  bool lp_sparse_factorization = true;
-  /// Relative threshold-pivoting tolerance for Markowitz pivots in (0, 1].
-  double lp_markowitz_tol = 0.1;
-  // --- dual re-solves + LP cut-row aging ---
-  /// Re-solve node LPs with the dual simplex: after a branching bound
-  /// change (and after cut rows are appended slack-basic) the warm basis
-  /// stays dual-feasible, so a handful of dual pivots replaces the primal
-  /// phase-1/phase-2 pass. Falls back to the primal path per-solve when
-  /// the basis cannot be made dual-feasible (see lp::SimplexSolver).
-  bool lp_dual_simplex = true;
+  // --- worker LPs (all other lp::SimplexOptions fields keep defaults) ---
   /// Delete a cut row from a worker's LP once its slack stayed basic for
   /// this many consecutive node re-solves — the cut has not been binding,
   /// and the factorization stops paying for it (the shared pool keeps its
   /// own aging; this only shrinks the LP). 0 disables deletion.
   int lp_row_age_limit = 40;
-  /// Leaving-row pricing rule for the dual re-solves (`--dual-pricing
-  /// dantzig|devex|se`). Devex (default) prices rows by violation^2 over a
-  /// reference weight approximating the steepest-edge row norm — the
-  /// standard 2-3x on heavily degenerate 0/1 relaxations; kSteepestEdge is
-  /// the exact (one extra FTRAN per pivot) reference mode; kDantzig is the
-  /// PR-4 largest-violation rule. See lp::DualPricing.
-  lp::DualPricing lp_dual_pricing = lp::DualPricing::kDevex;
-  /// Hyper-sparse dual ratio test (`--hypersparse 0|1`): track the nonzero
-  /// pattern of the BTRANed pivot row through the factor solves and price
-  /// only the columns it actually touches via a row-wise CSR mirror,
-  /// instead of the dense rho'A pass over every nonbasic column. Bit-exact
-  /// with the dense pass by construction; rows denser than
-  /// `lp_hypersparse_threshold` fall back to the dense pass (counted in
-  /// `lp_dual_dense_pivots`, never silent). See lp::SimplexOptions.
-  bool lp_hypersparse = true;
-  /// Density cutoff for the sparse BTRAN pattern walk as a fraction of the
-  /// row count: once the tracked pattern exceeds `threshold * m`, the
-  /// sparse solve bails to the dense path for that pivot.
-  double lp_hypersparse_threshold = 0.3;
   /// Geometric-mean + equilibration scaling of each worker's LP
   /// (`--scale 0|1`, see lp/scaling.hpp). Factors are snapped to powers of
   /// two, so scale/unscale round-trips are bit-exact and every public

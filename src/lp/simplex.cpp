@@ -14,19 +14,6 @@ namespace {
 constexpr double kInf = kInfinity;
 }
 
-bool parse_dual_pricing(const std::string& name, DualPricing& out) {
-  if (name == "dantzig") {
-    out = DualPricing::kDantzig;
-  } else if (name == "devex") {
-    out = DualPricing::kDevex;
-  } else if (name == "se") {
-    out = DualPricing::kSteepestEdge;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 SimplexSolver::SimplexSolver(const Model& model, Options options)
     : opt_(options),
       cfg_markowitz_tol_(options.markowitz_tol),
@@ -1602,7 +1589,6 @@ bool SimplexSolver::restore_dual_feasibility() {
 }
 
 void SimplexSolver::ensure_dual_weights() {
-  if (opt_.dual_pricing == DualPricing::kDantzig) return;
   if (dual_w_valid_ && static_cast<int>(dual_w_.size()) == m_) return;
   dual_w_.assign(m_, 1.0);  // the all-ones reference framework
   dual_w_valid_ = true;
@@ -1611,7 +1597,7 @@ void SimplexSolver::ensure_dual_weights() {
 
 void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w,
                                         const std::vector<double>& rho) {
-  if (opt_.dual_pricing == DualPricing::kDantzig || !dual_w_valid_) return;
+  if (!dual_w_valid_) return;
   const double wr = w[r];
   if (wr == 0.0) {
     dual_w_valid_ = false;
@@ -1657,12 +1643,10 @@ void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w,
 }
 
 int SimplexSolver::iterate_dual() {
-  // --- leaving row. Dantzig: the basic variable with the largest bound
-  // violation. Devex / steepest edge: the largest violation^2 / w_i, where
-  // w_i (approximately) carries ||e_i' B^-1||^2 — a violation is only worth
+  // --- leaving row: the largest violation^2 / w_i, where w_i
+  // (approximately) carries ||e_i' B^-1||^2 — a violation is only worth
   // chasing if the dual step it buys is long in the steepest-edge norm. ---
   ensure_dual_weights();
-  const bool weighted = opt_.dual_pricing != DualPricing::kDantzig;
   int r = -1;
   double best_score = 0.0;
   double viol = 0.0;
@@ -1673,8 +1657,7 @@ int SimplexSolver::iterate_dual() {
     const double above = x_[col] - ub_[col];
     const double v = below > above ? below : above;
     if (v <= opt_.feas_tol) continue;
-    const double score =
-        weighted ? v * v / std::max(dual_w_[i], 1e-10) : v;
+    const double score = v * v / std::max(dual_w_[i], 1e-10);
     if (score > best_score) {
       best_score = score;
       viol = v;

@@ -172,18 +172,12 @@ struct LpResult {
 
 /// Leaving-row selection rule for solve_dual() (see the header comment).
 enum class DualPricing {
-  kDantzig,       ///< largest primal bound violation (the PR-4 rule)
   kDevex,         ///< reference-framework Devex weights (default)
   kSteepestEdge,  ///< dual steepest edge (exact Forrest-Goldfarb update
                   ///< recurrence; weights restart all-ones on each reset) —
                   ///< reference mode, one extra FTRAN per pivot; use to
                   ///< validate the Devex path
 };
-
-/// Parses the user-facing pricing names ("dantzig", "devex", "se") shared
-/// by the CLI and the bench harness. Returns false on an unknown name and
-/// leaves `out` untouched.
-bool parse_dual_pricing(const std::string& name, DualPricing& out);
 
 struct SimplexOptions {
   double feas_tol = 1e-7;   ///< bound/row feasibility tolerance
@@ -203,8 +197,8 @@ struct SimplexOptions {
   /// Leaving-row rule for solve_dual(). kDevex (default) prices rows by
   /// violation^2 / reference-weight; kSteepestEdge maintains dual
   /// steepest-edge weights via the exact update recurrence (one extra
-  /// FTRAN per pivot; all-ones restart on each reset); kDantzig is the
-  /// plain largest-violation rule.
+  /// FTRAN per pivot; all-ones restart on each reset) and is the
+  /// reference the Devex path is tested against.
   DualPricing dual_pricing = DualPricing::kDevex;
   /// Hyper-sparse dual ratio test: price alpha_j = rho' a_j by an indexed
   /// walk over a row-wise CSR mirror of the structural columns (visiting
@@ -642,7 +636,7 @@ class SimplexSolver {
   /// 2 = primal infeasible (dual ray), 3 = numerical trouble.
   int iterate_dual();
   /// Re-initializes the dual pricing weights to the all-ones reference
-  /// framework when they are missing or stale (no-op under kDantzig).
+  /// framework when they are missing or stale.
   void ensure_dual_weights();
   /// Devex / exact steepest-edge weight update after a dual pivot with
   /// leaving row r, FTRANed entering column w (pivot element w[r]) and

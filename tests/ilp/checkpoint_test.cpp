@@ -126,6 +126,8 @@ TEST(CheckpointResume, PeriodicSnapshotsFromALiveSearchResumeCorrectly) {
     GTEST_SKIP() << "instance solved before the deadline on this machine";
   }
   EXPECT_GE(cut.stats.checkpoints_written, 1);
+  // The snapshot writer runs beside the workers and must never block them.
+  EXPECT_LT(cut.stats.checkpoint_seconds, 0.5 * cut.stats.seconds);
 
   Options go;
   go.branch_priority = inst.priority;

@@ -14,6 +14,7 @@
 #include "hls/benchmarks.hpp"
 #include "ilp/solver.hpp"
 #include "lp/model.hpp"
+#include "lp/simplex.hpp"
 #include "util/rng.hpp"
 
 namespace advbist::ilp {
@@ -125,11 +126,12 @@ TEST(ParallelSolver, SeededCutoffAndPrioritiesMatchSerial) {
 }
 
 /// Solves the k=2 BIST formulation of `name` to completion (no node budget)
-/// and asserts the identical proven optimum for threads in {1, 2, 4}.
+/// and asserts the proven optimum `expected` for threads in {1, 2, 4}.
 /// Budget-limited runs legitimately diverge per thread count (different
-/// exploration orders reach different incumbents at the budget, see
-/// BENCH_solver.json); the proven optimum must not.
+/// exploration orders reach different incumbents at the budget); the
+/// proven optimum must not.
 void expect_full_solve_deterministic(const std::string& name,
+                                     double expected,
                                      double time_limit_seconds) {
   const hls::Benchmark bench = hls::benchmark_by_name(name);
   core::FormulationOptions fo;
@@ -142,7 +144,6 @@ void expect_full_solve_deterministic(const std::string& name,
   opt.node_limit = -1;  // no node budget: run to the optimality proof
   opt.time_limit_seconds = time_limit_seconds;
 
-  double optimum = 0.0;
   for (const int threads : {1, 2, 4}) {
     opt.num_threads = threads;
     const Solution s = Solver(opt).solve(f.model());
@@ -153,22 +154,19 @@ void expect_full_solve_deterministic(const std::string& name,
     ASSERT_EQ(s.stats.termination, util::StopReason::kNone);
     EXPECT_LE(f.model().max_violation(s.values, true), 1e-6)
         << name << " " << threads << " threads";
-    if (threads == 1)
-      optimum = s.objective;
-    else
-      EXPECT_NEAR(s.objective, optimum, 1e-6)
-          << name << " " << threads << " threads";
+    EXPECT_NEAR(s.objective, expected, 1e-6)
+        << name << " " << threads << " threads";
   }
 }
 
 TEST(ParallelSolver, FullSolveFig1DeterministicAcrossThreadCounts) {
-  expect_full_solve_deterministic("fig1", 60.0);
+  expect_full_solve_deterministic("fig1", 432.0, 60.0);
 }
 
 TEST(ParallelSolver, FullSolveTsengDeterministicAcrossThreadCounts) {
   // ~25s per thread count in a Release build; sanitizer builds exclude
   // this test (see .github/workflows/ci.yml) rather than time out on it.
-  expect_full_solve_deterministic("tseng", 300.0);
+  expect_full_solve_deterministic("tseng", 816.0, 300.0);
 }
 
 TEST(ParallelSolver, FullSolvePaulinDeterministicAcrossThreadCounts) {
@@ -186,7 +184,7 @@ TEST(ParallelSolver, FullSolvePaulinDeterministicAcrossThreadCounts) {
                     "optimality-proof determinism check (~13s for all three "
                     "thread counts on one core; always-on in the CI "
                     "long-determinism job)";
-  expect_full_solve_deterministic("paulin", 24.0 * 3600.0);
+  expect_full_solve_deterministic("paulin", 1072.0, 24.0 * 3600.0);
 }
 
 TEST(ParallelSolver, SharedPseudocostsKeepReductionDeterministic) {
@@ -226,33 +224,50 @@ TEST(ParallelSolver, SharedPseudocostsKeepReductionDeterministic) {
 }
 
 TEST(ParallelSolver, PricingModesProveTheSameOptimum) {
-  // Devex / steepest-edge / Dantzig dual pricing change which vertex each
-  // node re-solve lands on (and therefore the tree), never the optimum.
+  // Devex (the solver's rule) and exact steepest-edge dual pricing pick
+  // different leaving rows, so a re-solve may land on a different vertex,
+  // never at a different optimum. Both dive in lockstep from the root LP
+  // of fig1's k=2 BIST formulation to the proven optimum, one integer
+  // fixing per warm dual re-solve, and must agree on every node LP.
   const hls::Benchmark bench = hls::benchmark_by_name("fig1");
   core::FormulationOptions fo;
   fo.include_bist = true;
   fo.k = 2;
   const core::Formulation f(bench.dfg, bench.modules, fo);
+  const Model& m = f.model();
 
-  double optimum = 0.0;
-  bool first = true;
-  for (const lp::DualPricing pricing :
-       {lp::DualPricing::kDantzig, lp::DualPricing::kDevex,
-        lp::DualPricing::kSteepestEdge}) {
-    Options opt;
-    opt.branch_priority = f.branch_priorities();
-    opt.lp_dual_pricing = pricing;
-    const Solution s = solve_with_threads(f.model(), 1, opt);
-    ASSERT_EQ(s.status, SolveStatus::kOptimal)
-        << "pricing " << static_cast<int>(pricing);
-    if (first) {
-      optimum = s.objective;
-      first = false;
-    } else {
-      EXPECT_NEAR(s.objective, optimum, 1e-6)
-          << "pricing " << static_cast<int>(pricing);
-    }
+  Options opt;
+  opt.branch_priority = f.branch_priorities();
+  const Solution best = solve_with_threads(m, 1, opt);
+  ASSERT_EQ(best.status, SolveStatus::kOptimal);
+
+  lp::SimplexOptions se_options;
+  se_options.dual_pricing = lp::DualPricing::kSteepestEdge;
+  lp::SimplexSolver devex(m);
+  lp::SimplexSolver se(m, se_options);
+  ASSERT_EQ(devex.solve().status, lp::LpStatus::kOptimal);
+  ASSERT_EQ(se.solve().status, lp::LpStatus::kOptimal);
+
+  int fixed = 0;
+  double objective = 0.0;
+  for (int v = 0; v < m.num_variables(); ++v) {
+    if (m.variable(v).type != VarType::kInteger) continue;
+    const double x = std::round(best.values[v]);
+    devex.set_variable_bounds(v, x, x);
+    se.set_variable_bounds(v, x, x);
+    const lp::LpResult a = devex.solve_dual();
+    const lp::LpResult b = se.solve_dual();
+    // The optimum satisfies every fixing so far, so each node LP is feasible.
+    ASSERT_EQ(a.status, lp::LpStatus::kOptimal) << "fixing " << fixed;
+    ASSERT_EQ(b.status, lp::LpStatus::kOptimal) << "fixing " << fixed;
+    ASSERT_NEAR(a.objective, b.objective, 1e-6) << "fixing " << fixed;
+    objective = a.objective;
+    ++fixed;
   }
+  // The dive must really exercise both pricing rules.
+  EXPECT_GT(devex.stats().dual_iterations, 0);
+  EXPECT_GT(se.stats().dual_iterations, 0);
+  EXPECT_NEAR(objective, best.objective, 1e-6);
 }
 
 TEST(ParallelSolver, ProvenStatusesNeverCoincideWithLimitHits) {

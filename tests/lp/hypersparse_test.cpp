@@ -144,10 +144,6 @@ void run_paired_bound_sweep(DualPricing pricing) {
   EXPECT_GT(traced_pivots, 0);
 }
 
-TEST(HypersparseDiff, BoundSweepTracesIdenticalToDenseDantzig) {
-  run_paired_bound_sweep(DualPricing::kDantzig);
-}
-
 TEST(HypersparseDiff, BoundSweepTracesIdenticalToDenseDevex) {
   run_paired_bound_sweep(DualPricing::kDevex);
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -325,6 +326,29 @@ TEST(MpsReader, RoundTripGeneratedInstances) {
       EXPECT_EQ(rr.name, instance_name(opt));
       expect_models_equal(m, rr.model);
     }
+  }
+  // The file path end to end, as `advbist solve` runs it: write_mps to
+  // disk, read_model_file, solve. The instances are feasible by
+  // construction, so their optima are pinned (the last is ill-conditioned).
+  const double optima[] = {-138, -142, -143, -145, -125, -152};
+  for (int g = 0; g < 6; ++g) {
+    GenOptions opt;
+    opt.seed = 100 + static_cast<std::uint64_t>(g);
+    opt.num_vars = 40;
+    opt.num_rows = 60;
+    opt.badly_scaled = g == 5;
+    const std::string name = instance_name(opt);
+    const std::string path = ::testing::TempDir() + name + ".mps";
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << write_mps(generate_instance(opt), name);
+    }
+    const ReadResult rr = read_model_file(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(rr.ok) << name << ": " << rr.error.to_string();
+    const ilp::Solution s = ilp::Solver().solve(rr.model);
+    EXPECT_EQ(s.status, ilp::SolveStatus::kOptimal) << name;
+    EXPECT_NEAR(s.objective, optima[g], 1e-6) << name;
   }
 }
 
