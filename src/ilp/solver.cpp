@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <condition_variable>
 #include <exception>
@@ -121,41 +119,6 @@ int pick_branching_variable(const Model& model, const std::vector<double>& x,
     }
   }
   return best;
-}
-
-/// Folds one simplex's factorization counters into a running total (used
-/// for retiring workers and the root cut-loop solver alike).
-void accumulate(lp::SimplexSolver::Stats& into,
-                const lp::SimplexSolver::Stats& s) {
-  into.refactorizations += s.refactorizations;
-  into.sparse_refactorizations += s.sparse_refactorizations;
-  into.dense_refactorizations += s.dense_refactorizations;
-  into.sparse_fallbacks += s.sparse_fallbacks;
-  into.pivot_rejections += s.pivot_rejections;
-  into.lu_updates += s.lu_updates;
-  into.lu_update_rejections += s.lu_update_rejections;
-  into.factor_basis_nnz += s.factor_basis_nnz;
-  into.factor_fill_nnz += s.factor_fill_nnz;
-  into.basis_pivots += s.basis_pivots;
-  into.bound_flips += s.bound_flips;
-  into.dual_solves += s.dual_solves;
-  into.dual_fallbacks += s.dual_fallbacks;
-  into.dual_iterations += s.dual_iterations;
-  into.primal_phase1_iterations += s.primal_phase1_iterations;
-  into.primal_phase2_iterations += s.primal_phase2_iterations;
-  into.dual_bound_flips += s.dual_bound_flips;
-  into.devex_resets += s.devex_resets;
-  into.dual_hypersparse_pivots += s.dual_hypersparse_pivots;
-  into.dual_dense_pivots += s.dual_dense_pivots;
-  into.dual_rho_nnz += s.dual_rho_nnz;
-  into.rows_deleted += s.rows_deleted;
-  into.peak_rows = std::max(into.peak_rows, s.peak_rows);
-  into.recovery_refactorize += s.recovery_refactorize;
-  into.recovery_tighten += s.recovery_tighten;
-  into.recovery_dense += s.recovery_dense;
-  into.recovery_cold += s.recovery_cold;
-  into.recovery_exhausted += s.recovery_exhausted;
-  into.aborted_solves += s.aborted_solves;
 }
 
 /// Approximate heap footprint of one pooled node, for the controller's
@@ -356,13 +319,8 @@ class Worker {
     // Fold this worker's factorization counters into the shared totals.
     // Runs on normal retirement and on unwinding alike.
     std::lock_guard<std::mutex> lock(ctx_.mutex);
-    accumulate(ctx_.lp_stats, simplex_.stats());
-    if (dive_lp_) accumulate(ctx_.lp_stats, dive_lp_->stats());
-    // Reliability probes are iteration-capped like the root pass's and get
-    // the same treatment: their dual solves/fallbacks stay out of the
-    // warm-start health diagnostic (their iterations remain counted).
-    ctx_.lp_stats.dual_solves -= probe_dual_solves_;
-    ctx_.lp_stats.dual_fallbacks -= probe_dual_fallbacks_;
+    ctx_.lp_stats += simplex_.stats();
+    if (dive_lp_) ctx_.lp_stats += dive_lp_->stats();
     ctx_.lp_scaling_active |= simplex_.scaling_active();
   }
 
@@ -734,11 +692,8 @@ class Worker {
       return a.v < b.v;
     });
 
-    // Probe solves are iteration-capped and routinely hit the cap; keep
-    // them out of the dual_solves/dual_fallbacks warm-start diagnostic by
-    // snapshotting, exactly as the root pass does (folded back in ~Worker).
-    const long long pre_solves = simplex_.stats().dual_solves;
-    const long long pre_fallbacks = simplex_.stats().dual_fallbacks;
+    // Capped probes stay out of the LP's dual_solves/dual_fallbacks
+    // warm-start diagnostic (see SimplexSolver::set_max_iterations).
     simplex_.set_max_iterations(std::max(1, opt.strong_branch_lp_iters));
     bool infeasible_node = false;
     bool tightened_node = false;
@@ -829,8 +784,6 @@ class Worker {
       }
     }
     simplex_.set_max_iterations(lp::SimplexOptions{}.max_iterations);
-    probe_dual_solves_ += simplex_.stats().dual_solves - pre_solves;
-    probe_dual_fallbacks_ += simplex_.stats().dual_fallbacks - pre_fallbacks;
     if (infeasible_node) return ProbeOutcome::kPrune;
     if (!tightened_node) return ProbeOutcome::kContinue;
     // A tightening moved the relaxation: re-solve (uncapped) so branching
@@ -867,7 +820,6 @@ class Worker {
     for (int v = 0; v < n; ++v)
       dive_lp_->set_variable_bounds(v, simplex_.variable_lower(v),
                                     simplex_.variable_upper(v));
-    const bool debug = std::getenv("ADVBIST_DIVE_DEBUG") != nullptr;
     std::vector<double> x = start.x;
     int repairs = 0;
     for (int step = 0; step < 4 * n; ++step) {
@@ -897,9 +849,6 @@ class Worker {
             rounded[v] = std::round(rounded[v]);
         if (model.max_violation(rounded, true) <= kActivityEps) {
           const double obj = model.objective_value(rounded);
-          if (debug)
-            std::fprintf(stderr, "dive: integral obj=%.1f after %d steps\n",
-                         obj, step);
           offer_incumbent(obj, std::move(rounded));
         }
         return;
@@ -921,12 +870,7 @@ class Worker {
         // integer once (one-hot rows make this a common rescue).
         const double t2 =
             std::clamp(t + (x[pick] > t ? 1.0 : -1.0), lo, hi);
-        if (attempt > 0 || ++repairs > 16 || t2 == t) {
-          if (debug)
-            std::fprintf(stderr, "dive: stuck at step %d (%s)\n", step,
-                         lp.status == LpStatus::kOptimal ? "cutoff" : "lp");
-          return;
-        }
+        if (attempt > 0 || ++repairs > 16 || t2 == t) return;
         t = t2;
       }
     }
@@ -1187,9 +1131,6 @@ class Worker {
   std::size_t fixings_consumed_ = 0;  ///< ctx.fixings entries already applied
   int nodes_since_separation_ = 0;
   int nodes_since_dive_ = 0;
-  // Probe dual-solve accounting, subtracted from the shared warm-start
-  // diagnostic when the worker retires (see ~Worker).
-  long long probe_dual_solves_ = 0, probe_dual_fallbacks_ = 0;
   // Cached pseudocost global averages (refreshed every few picks; see
   // pick_branch). Start expired so the first pick reads fresh values.
   double pc_avg_up_ = 0.0, pc_avg_down_ = 0.0;
@@ -1718,7 +1659,6 @@ Solution Solver::solve_impl(const Model& input,
 
   PseudocostStore pcstore(n);
   ctx.pseudocosts = &pcstore;
-  long long probe_dual_solves = 0, probe_dual_fallbacks = 0;
   // A resumed run inherits the interrupted run's pseudocosts (restored
   // below) instead of re-paying the strong-branching probes: the restored
   // store already reflects real branching history.
@@ -1736,11 +1676,6 @@ Solution Solver::solve_impl(const Model& input,
     // root optimum, not a stale pre-fixing one (their seeds enter the
     // store at full reliability weight — they must be exact).
     LpResult base = rlp;
-    // Probe solves are iteration-capped and routinely hit the cap; keep
-    // them out of the dual_solves/dual_fallbacks health diagnostic (which
-    // measures warm-start quality of NODE re-solves) by snapshotting.
-    const long long pre_dual_solves = sb.stats().dual_solves;
-    const long long pre_dual_fallbacks = sb.stats().dual_fallbacks;
     bool sb_infeasible = false;
     if (base.status == LpStatus::kOptimal) {
       struct Cand {
@@ -1839,8 +1774,6 @@ Solution Solver::solve_impl(const Model& input,
         }
       }
     }
-    probe_dual_solves = sb.stats().dual_solves - pre_dual_solves;
-    probe_dual_fallbacks = sb.stats().dual_fallbacks - pre_dual_fallbacks;
     if (sb_infeasible) {
       // Early infeasible return: like the other pre-search returns, only
       // status/seconds are reported (no lp_* stats reduction happens).
@@ -1850,16 +1783,8 @@ Solution Solver::solve_impl(const Model& input,
     }
   }
   if (root_lp) {
-    accumulate(ctx.lp_stats, root_lp->stats());
+    ctx.lp_stats += root_lp->stats();
     ctx.lp_scaling_active |= root_lp->scaling_active();
-    // The probes' dual-solve accounting belongs to strong branching
-    // (sol.stats.strong_branch_probed), not to the dual_solves /
-    // dual_fallbacks warm-start health diagnostic: iteration-capped probes
-    // routinely "fall back" by running out of budget, which says nothing
-    // about NODE re-solve quality. Their iterations stay counted — they
-    // are real LP work.
-    ctx.lp_stats.dual_solves -= probe_dual_solves;
-    ctx.lp_stats.dual_fallbacks -= probe_dual_fallbacks;
   }
 
   sol.stats.strong_branch_seconds = ctx.watch.seconds() - phase_mark;
@@ -2009,41 +1934,15 @@ Solution Solver::solve_impl(const Model& input,
   sol.stats.lp_iterations = ctx.lp_iterations.load();
   sol.stats.dropped_nodes = ctx.dropped_nodes.load();
   sol.stats.termination = controller.reason();
-  sol.stats.hit_node_limit =
-      sol.stats.termination == util::StopReason::kNodeLimit;
   sol.stats.shed_cuts = ctx.shed_cuts.load();
   sol.stats.shed_diving = ctx.shed_diving.load();
   sol.stats.peak_memory_bytes = controller.peak_memory();
   sol.stats.seconds = ctx.watch.seconds();
   sol.stats.lp_scaling_active = ctx.lp_scaling_active;
-  sol.stats.lp_refactorizations = ctx.lp_stats.refactorizations;
-  sol.stats.lp_sparse_refactorizations = ctx.lp_stats.sparse_refactorizations;
-  sol.stats.lp_sparse_fallbacks = ctx.lp_stats.sparse_fallbacks;
-  sol.stats.lp_pivot_rejections = ctx.lp_stats.pivot_rejections;
-  sol.stats.lp_lu_updates = ctx.lp_stats.lu_updates;
-  sol.stats.lp_lu_update_rejections = ctx.lp_stats.lu_update_rejections;
-  sol.stats.lp_fill_ratio = ctx.lp_stats.fill_ratio();
-  sol.stats.lp_primal_phase1_iterations =
-      ctx.lp_stats.primal_phase1_iterations;
-  sol.stats.lp_primal_phase2_iterations =
-      ctx.lp_stats.primal_phase2_iterations;
-  sol.stats.lp_dual_iterations = ctx.lp_stats.dual_iterations;
-  sol.stats.lp_dual_solves = ctx.lp_stats.dual_solves;
-  sol.stats.lp_dual_fallbacks = ctx.lp_stats.dual_fallbacks;
-  sol.stats.lp_bound_flips =
-      ctx.lp_stats.bound_flips + ctx.lp_stats.dual_bound_flips;
-  sol.stats.lp_rows_deleted = ctx.lp_stats.rows_deleted;
-  sol.stats.lp_peak_rows = ctx.lp_stats.peak_rows;
-  sol.stats.lp_devex_resets = ctx.lp_stats.devex_resets;
-  sol.stats.lp_dual_hypersparse_pivots = ctx.lp_stats.dual_hypersparse_pivots;
-  sol.stats.lp_dual_dense_pivots = ctx.lp_stats.dual_dense_pivots;
-  sol.stats.lp_dual_rho_nnz = ctx.lp_stats.dual_rho_nnz;
-  sol.stats.lp_recovery_refactorize = ctx.lp_stats.recovery_refactorize;
-  sol.stats.lp_recovery_tighten = ctx.lp_stats.recovery_tighten;
-  sol.stats.lp_recovery_dense = ctx.lp_stats.recovery_dense;
-  sol.stats.lp_recovery_cold = ctx.lp_stats.recovery_cold;
-  sol.stats.lp_recovery_exhausted = ctx.lp_stats.recovery_exhausted;
-  sol.stats.lp_aborted_solves = ctx.lp_stats.aborted_solves;
+#define ADVBIST_LP_STATS_COPY(name, merge) \
+  sol.stats.lp_##name = ctx.lp_stats.name;
+  ADVBIST_LP_STATS(ADVBIST_LP_STATS_COPY)
+#undef ADVBIST_LP_STATS_COPY
   sol.stats.cuts_clique_separated = ctx.clique_separated.load();
   sol.stats.cuts_cover_separated = ctx.cover_separated.load();
   sol.stats.cuts_gomory_separated = ctx.gomory_separated.load();
@@ -2114,7 +2013,7 @@ Solution Solver::solve_impl(const Model& input,
   // Honest termination statuses: a deadline, cancellation or memory-budget
   // stop is reported as itself (with or without an incumbent; see
   // Solution::has_solution). A node-limit stop keeps the legacy
-  // kFeasible / kNoSolutionFound mapping plus stats.hit_node_limit.
+  // kFeasible / kNoSolutionFound mapping; stats.termination says why.
   const auto limit_status = [&](SolveStatus fallback) {
     switch (sol.stats.termination) {
       case util::StopReason::kTimeLimit: return SolveStatus::kTimeLimit;

@@ -29,6 +29,11 @@
 // Parallel and serial solves prove the same optimum — only the order nodes
 // are explored in (and therefore node counts) differs.
 //
+// Each solve explains itself through Stats. Its lp_<name> counters are
+// generated from the ADVBIST_LP_STATS table in lp/simplex.hpp, the one
+// place to add an LP counter; docs/solver.md §3 documents every field and
+// tests/docs_sync.sh checks that it does.
+//
 // The paper used CPLEX 6.0 with a 24 CPU-hour cap; this solver plays the
 // same role with laptop-scale caps. Time-limited solves report the best
 // incumbent and the remaining optimality gap, mirroring Table 2's
@@ -200,12 +205,10 @@ struct Options {
 
 struct Stats {
   long long nodes = 0;
-  /// Total simplex pivots/flips; split below into primal phase-1, primal
-  /// phase-2 and dual pivots so perf work can see where they go.
+  /// Total simplex pivots/flips, the sum of every LpResult::iterations;
+  /// split into lp_primal_phase1_iterations, lp_primal_phase2_iterations
+  /// and lp_dual_iterations below so perf work can see where they go.
   long long lp_iterations = 0;
-  long long lp_primal_phase1_iterations = 0;
-  long long lp_primal_phase2_iterations = 0;
-  long long lp_dual_iterations = 0;
   /// Nodes abandoned because their LP hit the iteration limit. A dropped
   /// node forfeits the exhaustive-search proof; its inherited bound is
   /// folded into best_bound, so optimality is only still claimed when that
@@ -251,7 +254,6 @@ struct Stats {
   /// the controller the first time any layer (down to the LP pivot loops)
   /// trips a limit, so the reported status is honest about the cause.
   util::StopReason termination = util::StopReason::kNone;
-  bool hit_node_limit = false;  ///< termination == kNodeLimit (convenience)
   // --- per-phase wall clock (seconds; sums to ~seconds) ---
   double presolve_seconds = 0.0;       ///< presolve + probing + reduction
   double root_cut_seconds = 0.0;       ///< root LP + cut-and-fix loop
@@ -262,40 +264,17 @@ struct Stats {
   std::size_t peak_memory_bytes = 0;  ///< node + cut pool high water
   bool shed_cuts = false;    ///< memory pressure stopped cut separation
   bool shed_diving = false;  ///< memory pressure disabled the dive heuristic
-  // --- LP factorization counters, summed over all workers' simplex solvers
-  // (see lp::SimplexSolver::Stats) ---
-  long long lp_refactorizations = 0;
-  long long lp_sparse_refactorizations = 0;  ///< via Markowitz elimination
-  long long lp_sparse_fallbacks = 0;  ///< Markowitz singular -> dense sweep
-  long long lp_pivot_rejections = 0;  ///< threshold-rejected pivot candidates
-  long long lp_lu_updates = 0;  ///< basis changes absorbed by an LU update
-  /// LU updates that failed their stability test and refactorized instead.
-  long long lp_lu_update_rejections = 0;
+  // --- LP counters: one lp_<name> per ADVBIST_LP_STATS row (lp/simplex.hpp
+  // is the place to add one), merged over every worker, dive and root
+  // simplex solver by SimplexSolver::Stats::operator+= ---
+#define ADVBIST_LP_STATS_MIRROR(name, merge) long long lp_##name = 0;
+  ADVBIST_LP_STATS(ADVBIST_LP_STATS_MIRROR)
+#undef ADVBIST_LP_STATS_MIRROR
   /// Mean nnz(L+U) / nnz(B) over all refactorizations (1.0 = no fill).
-  double lp_fill_ratio = 1.0;
-  // --- dual re-solves + LP row aging (summed over workers) ---
-  long long lp_dual_solves = 0;     ///< solve_dual() re-solves attempted
-  long long lp_dual_fallbacks = 0;  ///< of those, finished by the primal path
-  /// Nonbasic bound flips: primal ratio-test flips plus the dual path's
-  /// (feasibility-restoration and ratio-test) flips.
-  long long lp_bound_flips = 0;
-  long long lp_rows_deleted = 0;  ///< aged-out cut rows deleted from LPs
-  int lp_peak_rows = 0;           ///< high-water LP row count across workers
-  /// Dual pricing-weight resets to the reference framework, summed over
-  /// workers (see lp::SimplexSolver::Stats::devex_resets). Roughly one per
-  /// dual solve is normal; one per dual pivot means the weights never
-  /// accumulate and Devex has silently degraded to Dantzig.
-  long long lp_devex_resets = 0;
-  // --- hyper-sparse dual ratio test (summed over workers) ---
-  /// Dual pivots priced through the sparse indexed walk (pattern kept
-  /// under the density cutoff all the way through BTRAN).
-  long long lp_dual_hypersparse_pivots = 0;
-  /// Dual pivots that fell back to the dense rho'A pass (pattern blew the
-  /// density cutoff, or hypersparsity disabled).
-  long long lp_dual_dense_pivots = 0;
-  /// Sum of nnz(rho) over all dual pivots (sparse and dense alike); divide
-  /// by the pivot count for the mean BTRANed-row density.
-  long long lp_dual_rho_nnz = 0;
+  [[nodiscard]] double lp_fill_ratio() const {
+    return lp::SimplexSolver::Stats::fill_ratio_of(lp_factor_basis_nnz,
+                                                   lp_factor_fill_nnz);
+  }
   // --- root strong branching (seeds the shared pseudocost store) ---
   int strong_branch_probed = 0;  ///< bounded probe re-solves performed
   int strong_branch_fixed = 0;   ///< variables fixed by an infeasible probe
@@ -303,14 +282,6 @@ struct Stats {
   long long reliability_probed = 0;  ///< bounded in-tree probe re-solves
   int reliability_fixed = 0;  ///< global fixings from infeasible probes
   int reliability_tightened = 0;  ///< node-local tightenings from probes
-  // --- numerical-recovery escalation ladder, summed over workers (see
-  // lp::SimplexSolver::Stats) ---
-  long long lp_recovery_refactorize = 0;  ///< rung 0 recoveries
-  long long lp_recovery_tighten = 0;      ///< rung 1: markowitz_tol tightened
-  long long lp_recovery_dense = 0;        ///< rung 2: dense LU forced
-  long long lp_recovery_cold = 0;         ///< rung 3: cold primal restarts
-  long long lp_recovery_exhausted = 0;    ///< ladder spent; solve abandoned
-  long long lp_aborted_solves = 0;  ///< LP solves aborted by the controller
   // --- exit audit ---
   bool audit_ran = false;         ///< the exit audit executed
   bool audit_incumbent_ok = false;  ///< incumbent re-verified on the original

@@ -17,7 +17,8 @@ constexpr double kInf = kInfinity;
 SimplexSolver::SimplexSolver(const Model& model, Options options)
     : opt_(options),
       cfg_markowitz_tol_(options.markowitz_tol),
-      cfg_pivot_tol_(options.pivot_tol) {
+      cfg_pivot_tol_(options.pivot_tol),
+      cfg_max_iterations_(options.max_iterations) {
   n_ = model.num_variables();
   m_ = model.num_constraints();
   initial_m_ = m_;
@@ -254,7 +255,7 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
 
   m_ += add;
   total_ = n_ + m_;
-  stats_.peak_rows = std::max(stats_.peak_rows, m_);
+  stats_.peak_rows = std::max<long long>(stats_.peak_rows, m_);
 
   if (extend) {
     // Extend the factors: identity rows/columns in P, Q and U (each new
@@ -1914,7 +1915,10 @@ int SimplexSolver::iterate_dual() {
 }
 
 LpResult SimplexSolver::solve_dual() {
-  ++stats_.dual_solves;
+  // A bounded probe (capped below the configured budget) routinely runs
+  // out; it says nothing about warm-start quality, so it is not counted.
+  const bool counted = opt_.max_iterations >= cfg_max_iterations_;
+  if (counted) ++stats_.dual_solves;
   iterations_ = 0;
   iter_phase1_ = 0;
   iter_phase2_ = 0;
@@ -1927,7 +1931,7 @@ LpResult SimplexSolver::solve_dual() {
   short_chain_until_ = 0;
 
   auto fallback = [&] {
-    ++stats_.dual_fallbacks;
+    if (counted) ++stats_.dual_fallbacks;
     LpResult r = run_primal();
     r.dual_fallback = true;
     return r;

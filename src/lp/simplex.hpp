@@ -126,6 +126,11 @@
 //    to the dense pass, pinned by the differential traces in
 //    tests/lp/hypersparse_test.cpp.
 //
+//  * Counters. Every cumulative LP counter is one row of the
+//    ADVBIST_LP_STATS table below; Stats, its operator+= and the ILP-level
+//    lp_<name> mirror are generated from it, so that table is the one
+//    place to add a counter.
+//
 // Problem sizes in this project are a few thousand rows/columns; the sparse
 // factorization keeps the refactorization cost proportional to fill and
 // the LU update keeps the per-pivot cost proportional to the update's
@@ -224,6 +229,61 @@ struct SimplexOptions {
   bool scaling = false;
 };
 
+// The LP counters: one X(name, merge) row each, merged by sum or (for a
+// high-water mark) max. Generates Stats, its operator+= and ilp::Stats'
+// lp_<name> mirror; add a counter here and nowhere else.
+#define ADVBIST_LP_STATS(X)                                                   \
+  X(refactorizations, sum)         /* successful refactorizations */          \
+  X(sparse_refactorizations, sum)  /* via Markowitz elimination */            \
+  X(dense_refactorizations, sum)   /* via the dense sweep */                  \
+  X(sparse_fallbacks, sum)  /* Markowitz said singular, dense sweep tried */  \
+  /* The stability threshold changed a pivot choice: a singleton-row          \
+     candidate vetoed, or a bump step forced onto a costlier pivot. */        \
+  X(pivot_rejections, sum)                                                    \
+  /* nnz of the factorized bases and of the L/U entries beyond them;          \
+     fill ratio = (basis + fill) / basis. */                                  \
+  X(factor_basis_nnz, sum)                                                    \
+  X(factor_fill_nnz, sum)                                                     \
+  X(basis_pivots, sum)  /* basis changes by a primal or dual pivot */         \
+  X(bound_flips, sum)   /* primal ratio-test bound flips */                   \
+  X(lu_updates, sum)    /* basis changes absorbed by an LU update */          \
+  /* Updates that failed the stability test (new U diagonal vs. the FTRAN     \
+     pivot times the old one, or under pivot_tol): pivot refused, the         \
+     unchanged basis refactorized. */                                         \
+  X(lu_update_rejections, sum)                                                \
+  /* solve_dual() calls, and of those the ones the primal path finished;      \
+     a call capped below the constructor's max_iterations (a bounded probe)   \
+     counts in neither. */                                                    \
+  X(dual_solves, sum)                                                         \
+  X(dual_fallbacks, sum)                                                      \
+  X(dual_iterations, sum)           /* dual pivots */                         \
+  X(primal_phase1_iterations, sum)  /* composite phase-1 pivots */            \
+  X(primal_phase2_iterations, sum)  /* phase-2 pivots + bound flips */        \
+  /* Dual-path bound flips: dual-feasibility restoration at entry plus the    \
+     bound-flipping ratio test. */                                            \
+  X(dual_bound_flips, sum)                                                    \
+  /* Dual pricing weight resets to the all-ones framework. One per dual       \
+     solve is normal churn; one per dual PIVOT means Devex has silently       \
+     degraded to Dantzig. */                                                  \
+  X(devex_resets, sum)                                                        \
+  X(dual_hypersparse_pivots, sum)  /* ratio tests by the indexed CSR walk */  \
+  /* Ratio tests by the dense row pass (hypersparse off, or rho denser than   \
+     hypersparse_threshold): counted, never silent. */                        \
+  X(dual_dense_pivots, sum)                                                   \
+  X(dual_rho_nnz, sum)  /* sum of nnz(rho) over all dual pivots */            \
+  X(rows_deleted, sum)  /* cut rows aged out of the LP by delete_rows */      \
+  X(peak_rows, max)     /* high-water row count (add_rows growth) */          \
+  /* Numerical-recovery ladder, each rung counted when climbed to; the rung   \
+     resets on pivot progress and at every public solve entry. */             \
+  X(recovery_refactorize, sum)  /* rung 0: fresh refactorization */           \
+  /* rung 1: markowitz_tol 5x tighter, pivot_tol 100x (<= 1e-7), LU update    \
+     chain cut to 25 for 1000 iterations */                                   \
+  X(recovery_tighten, sum)                                                    \
+  X(recovery_dense, sum)      /* rung 2: dense LU forced */                   \
+  X(recovery_cold, sum)       /* rung 3: cold primal restart */               \
+  X(recovery_exhausted, sum)  /* ladder spent; the solve was abandoned */     \
+  X(aborted_solves, sum)      /* solves aborted by the solve controller */
+
 class SimplexSolver {
  public:
   using Options = SimplexOptions;
@@ -259,8 +319,10 @@ class SimplexSolver {
   /// Caps the pivots/flips of every subsequent solve()/solve_dual() call.
   /// Used by strong branching to bound each probing re-solve: a capped
   /// solve that runs out returns kIterLimit (no objective) and leaves a
-  /// valid warm basis for the next call. Pass SimplexOptions{}.max_iterations
-  /// to restore the default.
+  /// valid warm basis for the next call. A solve_dual() under a cap below
+  /// the constructor's max_iterations is such a probe and stays out of
+  /// Stats::dual_solves / dual_fallbacks, the warm-start diagnostic. Pass
+  /// SimplexOptions{}.max_iterations to restore the default.
   void set_max_iterations(int max_iterations) {
     opt_.max_iterations = max_iterations;
   }
@@ -384,86 +446,37 @@ class SimplexSolver {
   /// the returned status/objective matches solve().
   LpResult solve_dual();
 
-  /// Cumulative factorization/pivot counters (never reset; cheap to keep).
+  /// One cumulative long long per ADVBIST_LP_STATS row (never reset).
   struct Stats {
-    long long refactorizations = 0;          ///< successful refactorizations
-    long long sparse_refactorizations = 0;   ///< via Markowitz elimination
-    long long dense_refactorizations = 0;    ///< via the dense sweep
-    /// Markowitz flagged the basis singular and the dense sweep was tried.
-    long long sparse_fallbacks = 0;
-    /// Times the relative stability threshold changed a pivot choice: a
-    /// singleton-row candidate vetoed, or a bump step forced onto a
-    /// strictly costlier pivot (counted once per step, not per rescan).
-    long long pivot_rejections = 0;
-    /// Cumulative nnz of the factorized bases and of the extra L/U entries
-    /// beyond them; fill ratio = (basis + fill) / basis.
-    long long factor_basis_nnz = 0;
-    long long factor_fill_nnz = 0;
-    long long basis_pivots = 0;
-    long long bound_flips = 0;
-    /// Basis changes absorbed by a Forrest–Tomlin LU update.
-    long long lu_updates = 0;
-    /// Updates that failed the stability test (new U diagonal vs. the
-    /// FTRAN pivot times the old diagonal, or a diagonal under pivot_tol):
-    /// the pivot is refused and the unchanged basis refactorized.
-    long long lu_update_rejections = 0;
+#define ADVBIST_LP_STATS_FIELD(name, merge) long long name = 0;
+    ADVBIST_LP_STATS(ADVBIST_LP_STATS_FIELD)
+#undef ADVBIST_LP_STATS_FIELD
 
-    // --- dual simplex (solve_dual) ---
-    long long dual_solves = 0;     ///< solve_dual() calls
-    long long dual_fallbacks = 0;  ///< of those, finished by the primal path
-    long long dual_iterations = 0;          ///< dual pivots
-    long long primal_phase1_iterations = 0; ///< composite phase-1 pivots
-    long long primal_phase2_iterations = 0; ///< phase-2 pivots + bound flips
-    /// Nonbasic bounds flipped by the dual path: dual-feasibility
-    /// restoration at entry plus bound-flipping ratio-test flips.
-    long long dual_bound_flips = 0;
-    /// Devex/steepest-edge weight resets to the all-ones reference
-    /// framework (refactorization, primal pivots, cold start, row
-    /// add/delete, framework degradation). A reset per dual solve is
-    /// normal churn; a reset per dual PIVOT means the weights never
-    /// accumulate and the rule has degraded to Dantzig.
-    long long devex_resets = 0;
-
-    // --- hypersparse dual ratio test ---
-    /// Dual pivots priced by the indexed pattern walk (pivot-row pattern
-    /// tracked through BTRAN, alpha via the CSR row mirror).
-    long long dual_hypersparse_pivots = 0;
-    /// Dual pivots priced by the dense row pass: hypersparse disabled, or
-    /// the pivot-row pattern outgrew hypersparse_threshold (the fallback
-    /// is counted, never silent).
-    long long dual_dense_pivots = 0;
-    /// Cumulative nnz of the BTRANed pivot rows over all dual pivots;
-    /// mean = / (dual_hypersparse_pivots + dual_dense_pivots).
-    long long dual_rho_nnz = 0;
-
-    // --- row deletion (delete_rows) ---
-    long long rows_deleted = 0;  ///< cut rows aged out of the LP
-    int peak_rows = 0;           ///< high-water row count (add_rows growth)
-
-    // --- numerical-recovery escalation ladder ---
-    // Repeated pivot rejections / residual drift inside one solve escalate
-    // through four rungs instead of the old single-shot fallbacks; each
-    // counter tallies the times that rung was climbed to. The rung resets
-    // once the solve makes pivot progress again (a fresh incident restarts
-    // at rung 0) and at every public solve entry.
-    long long recovery_refactorize = 0;  ///< rung 0: fresh refactorization
-    /// rung 1: markowitz_tol tightened 5x, pivot_tol raised 100x (<= 1e-7),
-    /// LU update chain cut to 25 for the next 1000 iterations
-    long long recovery_tighten = 0;
-    long long recovery_dense = 0;    ///< rung 2: dense LU forced
-    long long recovery_cold = 0;     ///< rung 3: cold primal restart
-    /// Solves abandoned with the ladder exhausted (reported kIterLimit on
-    /// the primal path / primal fallback on the dual path).
-    long long recovery_exhausted = 0;
-    /// LP solves aborted mid-iteration by the solve controller.
-    long long aborted_solves = 0;
+    /// Folds another solver's counters in, each row by its merge rule.
+    Stats& operator+=(const Stats& other) {
+#define ADVBIST_LP_STATS_MERGE(name, merge) merge_##merge(name, other.name);
+      ADVBIST_LP_STATS(ADVBIST_LP_STATS_MERGE)
+#undef ADVBIST_LP_STATS_MERGE
+      return *this;
+    }
 
     /// Mean nnz(L+U) / nnz(B) over all refactorizations (1.0 = no fill).
     [[nodiscard]] double fill_ratio() const {
-      return factor_basis_nnz > 0
-                 ? static_cast<double>(factor_basis_nnz + factor_fill_nnz) /
-                       static_cast<double>(factor_basis_nnz)
-                 : 1.0;
+      return fill_ratio_of(factor_basis_nnz, factor_fill_nnz);
+    }
+    /// (basis + fill) / basis for the two factor_* counters; 1.0 when
+    /// nothing was factorized.
+    [[nodiscard]] static double fill_ratio_of(long long basis_nnz,
+                                              long long fill_nnz) {
+      return basis_nnz > 0 ? static_cast<double>(basis_nnz + fill_nnz) /
+                                 static_cast<double>(basis_nnz)
+                           : 1.0;
+    }
+
+   private:
+    static void merge_sum(long long& into, long long v) { into += v; }
+    static void merge_max(long long& into, long long v) {
+      if (v > into) into = v;
     }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -865,6 +878,9 @@ class SimplexSolver {
   // after a rung-1 tighten, and the rung restarts at 0.
   double cfg_markowitz_tol_ = 0.1;
   double cfg_pivot_tol_ = 1e-9;
+  // The constructor's max_iterations: a solve_dual() under a lower
+  // set_max_iterations cap is a bounded probe (see Stats::dual_solves).
+  int cfg_max_iterations_ = 0;
   // Recovery rung 1 caps the LU update chain at kShortChainUpdates until
   // the solve's iteration count reaches short_chain_until_ (reset at every
   // public solve entry).

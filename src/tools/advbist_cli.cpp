@@ -521,14 +521,15 @@ int cmd_design(const std::string& cmd, int argc, char** argv) {
           st.lp_primal_phase2_iterations, st.lp_dual_iterations,
           st.lp_refactorizations,
           st.lp_sparse_refactorizations, st.lp_sparse_fallbacks,
-          st.lp_fill_ratio, st.lp_pivot_rejections, st.lp_lu_updates,
+          st.lp_fill_ratio(), st.lp_pivot_rejections, st.lp_lu_updates,
           st.lp_lu_update_rejections, st.threads);
     if (st.lp_dual_solves > 0)
       std::printf(
           "     dual: %lld re-solves (%lld fell back to primal), %lld "
           "bound flips, %lld pricing resets, %lld cut rows aged out of the "
-          "LPs (peak %d rows)\n",
-          st.lp_dual_solves, st.lp_dual_fallbacks, st.lp_bound_flips,
+          "LPs (peak %lld rows)\n",
+          st.lp_dual_solves, st.lp_dual_fallbacks,
+          st.lp_bound_flips + st.lp_dual_bound_flips,
           st.lp_devex_resets, st.lp_rows_deleted, st.lp_peak_rows);
     if (st.lp_dual_hypersparse_pivots + st.lp_dual_dense_pivots > 0) {
       const long long piv =

@@ -229,7 +229,6 @@ TEST(SolveLifecycle, NodeLimitFoldsUnexploredBoundsIntoBestBound) {
   opt.branch_priority = inst.priority;
   opt.node_limit = 5;
   const Solution s = Solver(opt).solve(inst.model);
-  EXPECT_TRUE(s.stats.hit_node_limit);
   EXPECT_EQ(s.stats.termination, util::StopReason::kNodeLimit);
   // Legacy statuses are preserved for the node budget.
   EXPECT_TRUE(s.status == SolveStatus::kFeasible ||

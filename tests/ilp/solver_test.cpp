@@ -145,7 +145,8 @@ TEST(IlpSolver, NodeLimitReportsFeasibleOrNoSolution) {
   EXPECT_TRUE(s.status == SolveStatus::kFeasible ||
               s.status == SolveStatus::kNoSolutionFound ||
               s.status == SolveStatus::kOptimal);
-  EXPECT_TRUE(s.stats.hit_node_limit || s.is_optimal());
+  EXPECT_TRUE(s.stats.termination == util::StopReason::kNodeLimit ||
+              s.is_optimal());
 }
 
 TEST(IlpSolver, GapIsZeroWhenOptimal) {

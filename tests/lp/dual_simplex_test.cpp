@@ -320,6 +320,31 @@ TEST(DualSimplex, DualInfeasibleWarmStartFallsBackToPrimal) {
   EXPECT_EQ(solver.stats().dual_fallbacks, 1);
 }
 
+TEST(DualSimplex, CappedProbeSolvesStayOutOfWarmStartCounters) {
+  // A solve_dual() under a set_max_iterations cap below the constructor's
+  // budget is a bounded probe (strong branching, reliability probes): it
+  // counts in neither dual_solves nor dual_fallbacks, even when it falls
+  // back. With the budget restored the next re-solve counts again.
+  Model m;
+  const int x = m.add_variable(1, 1, -1, VarType::kContinuous, "x");
+  m.add_constraint(LinExpr().add(x, 1), Sense::kLessEqual, 10);
+  SimplexSolver solver(m);
+  ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
+
+  solver.set_max_iterations(200);
+  solver.set_variable_bounds(x, 1, kInfinity);  // forces the primal fallback
+  const LpResult probe = solver.solve_dual();
+  ASSERT_EQ(probe.status, LpStatus::kOptimal);
+  EXPECT_TRUE(probe.dual_fallback);
+  EXPECT_EQ(solver.stats().dual_solves, 0);
+  EXPECT_EQ(solver.stats().dual_fallbacks, 0);
+
+  solver.set_max_iterations(SimplexOptions{}.max_iterations);
+  solver.set_variable_bounds(x, 1, 4);
+  ASSERT_EQ(solver.solve_dual().status, LpStatus::kOptimal);
+  EXPECT_EQ(solver.stats().dual_solves, 1);
+}
+
 TEST(DualSimplex, DegenerateWarmStartStaysExact) {
   // Several ties at every breakpoint: a degenerate dual ratio test must
   // still terminate and agree with the cold solve.

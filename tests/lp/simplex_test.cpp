@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "lp/model.hpp"
@@ -367,6 +368,25 @@ std::vector<RandomLpParam> make_random_params() {
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, SimplexRandomTest,
                          ::testing::ValuesIn(make_random_params()));
+
+TEST(SimplexStats, MergeFollowsTheCounterTable) {
+  // Built from ADVBIST_LP_STATS itself, so a row added later is covered
+  // here without touching the test: merging a set of all-ones counters
+  // twice gives 2 on every sum row and 1 on every max row (peak_rows).
+  SimplexSolver::Stats ones;
+#define SET_TO_ONE(name, merge) ones.name = 1;
+  ADVBIST_LP_STATS(SET_TO_ONE)
+#undef SET_TO_ONE
+  SimplexSolver::Stats total;
+  total += ones;
+  total += ones;
+#define EXPECT_MERGED(name, merge) \
+  EXPECT_EQ(total.name, std::string(#merge) == "max" ? 1 : 2) << #name;
+  ADVBIST_LP_STATS(EXPECT_MERGED)
+#undef EXPECT_MERGED
+  EXPECT_EQ(total.peak_rows, 1);
+  EXPECT_EQ(total.refactorizations, 2);
+}
 
 }  // namespace
 }  // namespace advbist::lp
