@@ -84,7 +84,14 @@ struct Node {
   bool branch_up = false;    ///< true: the x >= ceil child
   double branch_dist = 0.0;  ///< |bound movement| of the branching
   double parent_obj = 0.0;   ///< parent's raw LP objective
+  /// id_ of the worker that published this node as a far child; -1 for the
+  /// root, resumed-frontier and stop-returned nodes.
+  int owner = -1;
 };
+
+/// How far back from the pool's end a worker looks for the newest node it
+/// published itself (see Worker::take).
+constexpr std::size_t kAffinityWindow = 64;
 
 /// A reduced-cost (or probing) domain restriction broadcast to workers
 /// after the search started. Only ever tightens.
@@ -157,6 +164,7 @@ struct SearchContext {
   std::condition_variable cv;
   std::vector<Node> pool;
   long long pops_since_resort = 0;
+  long long stolen_nodes = 0;  ///< pops of another worker's published node
   int idle_workers = 0;
   bool done = false;  ///< pool drained with every worker idle
   bool stop = false;  ///< limit hit / unbounded root: abandon the search
@@ -294,9 +302,10 @@ struct SearchContext {
 /// One search worker: a private warm-starting SimplexSolver plus the node it
 /// is currently plunging on. Workers share nodes through ctx_.pool — each
 /// branching keeps the child nearer the LP value local and publishes the
-/// other, so idle workers steal the "far" subtrees — and globally valid
-/// cutting planes through ctx_.cut_pool, replaying every cut the pool has
-/// applied into their own LP via SimplexSolver::add_rows.
+/// other; when a plunge ends, the worker resumes the newest "far" subtree it
+/// published itself and steals another worker's only when it has none — and
+/// globally valid cutting planes through ctx_.cut_pool, replaying every cut
+/// the pool has applied into their own LP via SimplexSolver::add_rows.
 class Worker {
  public:
   Worker(SearchContext& ctx, const Model& reduced)
@@ -367,6 +376,7 @@ class Worker {
         // top, which closes the proven gap the way best-first search does.
         // Under memory pressure the re-sort pauses: pure DFS drains the
         // pool (and its accounted bytes) fastest.
+        bool resorted = false;
         if (++ctx_.pops_since_resort >= 256 && ctx_.pool.size() > 1 &&
             !ctx_.controller->memory_pressure()) {
           ctx_.pops_since_resort = 0;
@@ -374,9 +384,26 @@ class Worker {
                     [](const Node& a, const Node& b) {
                       return a.parent_bound > b.parent_bound;  // best at back
                     });
+          resorted = true;
         }
-        Node n = std::move(ctx_.pool.back());
-        ctx_.pool.pop_back();
+        // Worker-affine selection: outside the best-bound pop, a worker
+        // resumes the newest node it published itself. That node is the far
+        // sibling of a node on its own current path, so apply_node changes
+        // few bounds and the warm dual re-solve needs few pivots; another
+        // worker's node would start from an unrelated basis.
+        std::size_t pick = ctx_.pool.size() - 1;
+        if (!resorted && ctx_.num_workers > 1) {
+          const std::size_t first =
+              ctx_.pool.size() - std::min(ctx_.pool.size(), kAffinityWindow);
+          for (std::size_t i = ctx_.pool.size(); i-- > first;)
+            if (ctx_.pool[i].owner == id_) {
+              pick = i;
+              break;
+            }
+        }
+        Node n = std::move(ctx_.pool[pick]);
+        ctx_.pool.erase(ctx_.pool.begin() + static_cast<std::ptrdiff_t>(pick));
+        if (n.owner >= 0 && n.owner != id_) ++ctx_.stolen_nodes;
         ctx_.controller->release(node_bytes(n));
         if (ctx_.track_current) ctx_.current_nodes[id_] = n;
         return n;
@@ -401,6 +428,7 @@ class Worker {
     std::lock_guard<std::mutex> lock(ctx_.mutex);
     ctx_.stop = true;
     ctx_.exhausted = false;
+    node.owner = -1;
     ctx_.controller->reserve(node_bytes(node));
     ctx_.pool.push_back(std::move(node));
     ctx_.cv.notify_all();
@@ -1067,8 +1095,9 @@ class Worker {
     const double xv = lp.x[branch_var];
     const double floor_v = std::floor(xv);
     // Children: "down" (x <= floor) and "up" (x >= floor+1). The side
-    // nearer the LP value is plunged on locally; the other is published
-    // for any idle worker to steal.
+    // nearer the LP value is plunged on locally; the other is published,
+    // marked as this worker's, for it to resume once the plunge ends (or
+    // for an idle worker to steal).
     Node down{node.changes, bound, node.depth + 1};
     double cur_lo = root_lb_[branch_var], cur_hi = root_ub_[branch_var];
     for (const BoundChange& bc : node.changes)
@@ -1100,6 +1129,7 @@ class Worker {
       drop_node(far, "node-pool allocation refused");
     } else {
       std::lock_guard<std::mutex> lock(ctx_.mutex);
+      far.owner = id_;
       ctx_.controller->reserve(node_bytes(far));
       ctx_.pool.push_back(std::move(far));
     }
@@ -1122,7 +1152,9 @@ class Worker {
   SearchContext& ctx_;
   const Model& reduced_;  ///< LP model workers are built from (dive solver)
   SimplexSolver simplex_;
-  const int id_;  ///< slot index into ctx_.current_nodes (checkpoint capture)
+  /// Slot index into ctx_.current_nodes (checkpoint capture) and the owner
+  /// tag of the far children this worker publishes.
+  const int id_;
   std::unique_ptr<SimplexSolver> dive_lp_;  ///< lazily built dive solver
   std::vector<double> root_lb_, root_ub_;  ///< local rc-tightened root bounds
   std::vector<BoundChange> applied_;  ///< changes currently applied
@@ -1933,6 +1965,7 @@ Solution Solver::solve_impl(const Model& input,
   sol.stats.nodes = ctx.nodes.load();
   sol.stats.lp_iterations = ctx.lp_iterations.load();
   sol.stats.dropped_nodes = ctx.dropped_nodes.load();
+  sol.stats.stolen_nodes = ctx.stolen_nodes;
   sol.stats.termination = controller.reason();
   sol.stats.shed_cuts = ctx.shed_cuts.load();
   sol.stats.shed_diving = ctx.shed_diving.load();

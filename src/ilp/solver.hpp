@@ -24,8 +24,11 @@
 // With Options::num_threads > 1 the tree search runs on a pool of worker
 // threads. Each worker owns a private SimplexSolver (so every LP re-solve
 // warm-starts from that worker's last basis) and plunges depth-first on one
-// child while sharing the other through a central node pool that idle
-// workers steal from; the incumbent objective is a shared atomic cutoff.
+// child while publishing the other to a central node pool. When a plunge
+// ends, a worker first resumes the newest subtree it published itself, whose
+// bounds lie next to its warm basis, and takes another worker's node only
+// when none of its own is near the pool's end; the incumbent objective is a
+// shared atomic cutoff.
 // Parallel and serial solves prove the same optimum — only the order nodes
 // are explored in (and therefore node counts) differs.
 //
@@ -214,6 +217,9 @@ struct Stats {
   /// folded into best_bound, so optimality is only still claimed when that
   /// bound already met the incumbent.
   long long dropped_nodes = 0;
+  /// Pool pops that took a node another worker published (0 on 1 thread).
+  /// Each is a warm re-solve from an unrelated basis.
+  long long stolen_nodes = 0;
   double seconds = 0.0;
   double best_bound = -lp::kInfinity;  ///< proven lower bound (minimization)
   /// Variables with lower == upper once presolve + probing finished. Counts

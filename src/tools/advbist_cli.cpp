@@ -462,6 +462,10 @@ int cmd_solve(int argc, char** argv) {
     std::printf("%s: %lld nodes, %lld LP iterations, %.2fs\n",
                 ilp::to_string(r.status).c_str(), st.nodes, st.lp_iterations,
                 st.seconds);
+  if (st.threads > 1)
+    std::printf("workers: %d threads, %lld of %lld nodes stolen from another "
+                "worker\n",
+                st.threads, st.stolen_nodes, st.nodes);
   if (st.audit_ran)
     std::printf("audit: incumbent %s, bound %s (max violation %.2g)%s\n",
                 st.audit_incumbent_ok ? "verified" : "not verified",
@@ -554,6 +558,10 @@ int cmd_design(const std::string& cmd, int argc, char** argv) {
           "(%d variables fixed, %d bounds tightened)\n",
           st.reliability_probed, st.reliability_fixed,
           st.reliability_tightened);
+    if (st.threads > 1)
+      std::printf("     workers: %d threads, %lld of %lld nodes stolen from "
+                  "another worker\n",
+                  st.threads, st.stolen_nodes, st.nodes);
     if (st.cuts_clique_applied + st.cuts_cover_applied +
                 st.cuts_gomory_applied + st.cuts_odd_cycle_applied >
             0 ||

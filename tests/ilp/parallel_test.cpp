@@ -125,6 +125,31 @@ TEST(ParallelSolver, SeededCutoffAndPrioritiesMatchSerial) {
   }
 }
 
+TEST(ParallelSolver, StolenNodesCountOnlyOtherWorkersNodes) {
+  // A worker resumes its own published subtrees first; stolen_nodes counts
+  // the pops that took another worker's node. One worker has nobody to
+  // steal from. With four, every stolen node is a published far child, and
+  // each of those came from a counted node, so steals never exceed nodes.
+  const hls::Benchmark bench = hls::benchmark_by_name("fig1");
+  core::FormulationOptions fo;
+  fo.include_bist = true;
+  fo.k = 2;
+  const core::Formulation f(bench.dfg, bench.modules, fo);
+  Options base;
+  base.branch_priority = f.branch_priorities();
+
+  const Solution serial = solve_with_threads(f.model(), 1, base);
+  ASSERT_EQ(serial.status, SolveStatus::kOptimal);
+  EXPECT_GT(serial.stats.nodes, 1);
+  EXPECT_EQ(serial.stats.stolen_nodes, 0);
+
+  const Solution parallel = solve_with_threads(f.model(), 4, base);
+  ASSERT_EQ(parallel.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(parallel.objective, serial.objective, 1e-6);
+  EXPECT_GE(parallel.stats.stolen_nodes, 0);
+  EXPECT_LE(parallel.stats.stolen_nodes, parallel.stats.nodes);
+}
+
 /// Solves the k=2 BIST formulation of `name` to completion (no node budget)
 /// and asserts the proven optimum `expected` for threads in {1, 2, 4}.
 /// Budget-limited runs legitimately diverge per thread count (different
