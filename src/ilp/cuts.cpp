@@ -260,7 +260,10 @@ std::vector<Cut> separate_gomory_cuts(
   std::vector<double> coeff(static_cast<std::size_t>(n), 0.0);
   std::vector<int> touched;
   std::vector<char> in_touched(static_cast<std::size_t>(n), 0);
-  std::vector<Term> row_terms;
+  // Slack substitution reads the LP's rows: fetched once per call, on
+  // first use, since one call substitutes slacks of up to every row.
+  std::vector<std::vector<Term>> rows;
+  std::vector<double> rows_rhs;
   const std::vector<int>& basis = lp_solver.basis();
 
   for (int pos = 0; pos < m; ++pos) {
@@ -320,7 +323,7 @@ std::vector<Cut> separate_gomory_cuts(
     if (f0 < kAway || f0 > 1.0 - kAway) continue;
 
     // Pass 2: Gomory mixed-integer cut  sum g_j t_j >= f0  translated back
-    // to structural space (t -> x shift; slack t -> original_row
+    // to structural space (t -> x shift; slack t -> original_rows
     // substitution s_r = rhs_r - a_r.x). Collected as sum c_v x_v >= K.
     std::fill(coeff.begin(), coeff.end(), 0.0);
     for (const int v : touched) in_touched[v] = 0;
@@ -348,11 +351,11 @@ std::vector<Cut> separate_gomory_cuts(
         K += g * sign * c.bound;
       } else {
         // Slack bound is always 0, so g t = g sign s_r.
-        double row_rhs = 0.0;
-        lp_solver.original_row(c.col - n, row_terms, row_rhs);
+        if (rows.empty()) lp_solver.original_rows(rows, rows_rhs);
+        const int r = c.col - n;
         const double cs = g * sign;
-        for (const Term& t : row_terms) add_coeff(t.var, -cs * t.coeff);
-        K -= cs * row_rhs;
+        for (const Term& t : rows[r]) add_coeff(t.var, -cs * t.coeff);
+        K -= cs * rows_rhs[r];
       }
     }
 

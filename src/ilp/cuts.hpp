@@ -22,7 +22,7 @@
 //    their GLOBAL bounds (so the cut is valid everywhere, not just in the
 //    separating node's subtree), the mixed-integer rounding function
 //    strengthens integer columns, and slacks are substituted back out via
-//    original_row(). Cuts above a dynamism/density threshold are rejected;
+//    original_rows(). Cuts above a dynamism/density threshold are rejected;
 //    coefficients are normalized by a power-of-two factor so the pooled
 //    cut stays well-scaled whether or not lp_scaling is active.
 //

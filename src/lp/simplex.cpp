@@ -99,7 +99,6 @@ SimplexSolver::SimplexSolver(const Model& model, Options options)
   cperm_.assign(m_, 0);
   u_diag_.assign(m_, 0.0);
   work_.assign(m_, 0.0);
-  rebuild_row_mirror();
 }
 
 void SimplexSolver::set_variable_bounds(int var, double lower, double upper) {
@@ -282,8 +281,6 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
   // weights (the row dimension changed).
   candidates_.clear();
   dual_w_valid_ = false;
-  // The CSC arrays grew: rebuild the row mirror through its choke point.
-  rebuild_row_mirror();
 }
 
 std::vector<double> SimplexSolver::reduced_costs() const {
@@ -1045,26 +1042,6 @@ void SimplexSolver::btran(const std::vector<double>& cb,
   for (int i = 0; i < m_; ++i) y[perm_[i]] = q[i];
 }
 
-void SimplexSolver::rebuild_row_mirror() {
-  const int nnz = col_start_[n_];
-  row_start_.assign(m_ + 1, 0);
-  row_col_.resize(nnz);
-  row_val_.resize(nnz);
-  for (int p = 0; p < nnz; ++p) ++row_start_[col_row_[p] + 1];
-  for (int i = 0; i < m_; ++i) row_start_[i + 1] += row_start_[i];
-  // Filling in column order leaves each row's entries sorted by column —
-  // which makes the indexed alpha walk accumulate each column's terms in
-  // the same (ascending-row) order as the dense CSC pass, so the two
-  // paths produce bit-identical alphas.
-  std::vector<int> fill(row_start_.begin(), row_start_.end() - 1);
-  for (int v = 0; v < n_; ++v)
-    for (int p = col_start_[v]; p < col_start_[v + 1]; ++p) {
-      const int pos = fill[col_row_[p]]++;
-      row_col_[pos] = v;
-      row_val_[pos] = col_val_[p];
-    }
-}
-
 double SimplexSolver::reduced_cost(int col, const std::vector<double>& y,
                                    const std::vector<double>& cost) const {
   double d = cost[col];
@@ -1670,26 +1647,11 @@ int SimplexSolver::iterate_dual() {
 
   // --- pivot row: rho' = e_r' B^{-1}; alpha_j = sgn * rho' a_j for every
   // nonbasic column (the sign normalization makes "d_j decreasing with the
-  // dual step" read the same for both violation directions). The dense
-  // BTRAN value-skips, so rho is exactly zero off its true support; the
-  // pivot counts as hypersparse when the indexed ratio walk engages — the
-  // pivot row fits under the density cutoff. Denser rows fall back to the
-  // dense CSC alpha pass, counted (never silently) in dual_dense_pivots. ---
-  const int rho_cutoff = std::max(
-      8,
-      static_cast<int>(opt_.hypersparse_threshold * static_cast<double>(m_)));
+  // dual step" read the same for both violation directions). ---
   if (static_cast<int>(dual_unit_.size()) != m_) dual_unit_.assign(m_, 0.0);
   dual_unit_[r] = 1.0;  // e_r; dual_unit_ is all-zero between uses
   btran(dual_unit_, dual_rho_);
   dual_unit_[r] = 0.0;
-  int rho_nnz = 0;
-  for (int i = 0; i < m_; ++i) rho_nnz += dual_rho_[i] != 0.0 ? 1 : 0;
-  stats_.dual_rho_nnz += rho_nnz;
-  const bool rho_sparse = opt_.hypersparse && rho_nnz <= rho_cutoff;
-  if (rho_sparse)
-    ++stats_.dual_hypersparse_pivots;
-  else
-    ++stats_.dual_dense_pivots;
 
   dual_row_.clear();
   dual_cands_.clear();
@@ -1698,17 +1660,25 @@ int SimplexSolver::iterate_dual() {
   // exact zero everywhere keeps the pivot sequence independent of noise.
   // Between drop_tol and pivot_tol the alpha is genuinely small but REAL:
   // it is too small to pivot on, yet its reduced cost still moves by
-  // theta*alpha in the dual step. The pre-PR-7 code filtered the theta
-  // update at pivot_tol, so such columns drifted from their true reduced
-  // costs by theta*alpha per pivot (flushed only at the next
-  // refactorization); tests/lp/hypersparse_test.cpp pins the fix.
+  // theta*alpha in the dual step. Filtering the theta update at pivot_tol
+  // would let such columns drift from their true reduced costs by
+  // theta*alpha per pivot (flushed only at the next refactorization);
+  // tests/lp/dual_simplex_test.cpp pins this.
   const double drop_tol = 1e-4 * opt_.pivot_tol;
-  auto consider = [&](int j, double a) {
-    if (vstat_[j] == kBasic || lb_[j] == ub_[j]) return;
+  for (int j = 0; j < total_; ++j) {
+    if (vstat_[j] == kBasic || lb_[j] == ub_[j]) continue;
+    double a;
+    if (j < n_) {
+      a = 0.0;
+      for (int p = col_start_[j]; p < col_start_[j + 1]; ++p)
+        a += dual_rho_[col_row_[p]] * col_val_[p];
+    } else {
+      a = dual_rho_[j - n_];
+    }
     const double at = sgn * a;
-    if (std::abs(at) <= drop_tol) return;
+    if (std::abs(at) <= drop_tol) continue;
     dual_row_.push_back(DualRowEntry{j, at});
-    if (std::abs(at) <= opt_.pivot_tol) return;
+    if (std::abs(at) <= opt_.pivot_tol) continue;
     // Eligible entering columns: their reduced cost is driven towards zero
     // as the dual step grows; the breakpoint is the dual ratio.
     double ratio;
@@ -1717,59 +1687,10 @@ int SimplexSolver::iterate_dual() {
     else if (vstat_[j] == kAtUpper && at < 0.0)
       ratio = std::min(dual_d_[j], 0.0) / at;
     else
-      return;
+      continue;
     dual_cands_.push_back(DualCandidate{j, ratio, at});
-  };
-  if (rho_sparse) {
-    // Indexed walk: scatter rho_i * (row i) into the accumulator over the
-    // structural columns; slack alphas are the rho entries themselves.
-    // The ascending value scan over rho (off-pattern entries are exact
-    // zeros) makes each column's terms accumulate in ascending row order —
-    // the dense CSC pass's order — so the alphas match it bit for bit.
-    // The scatter is branch-free: untouched columns stay exactly zero and
-    // the O(n_) sweep drops them at the drop_tol test, which is cheaper
-    // than per-entry mark bookkeeping at the densities seen here.
-    if (static_cast<int>(row_acc_.size()) < n_) row_acc_.assign(n_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const double ri = dual_rho_[i];
-      if (ri == 0.0) continue;
-      for (int p = row_start_[i]; p < row_start_[i + 1]; ++p)
-        row_acc_[row_col_[p]] += ri * row_val_[p];
-      consider(n_ + i, ri);
-    }
-    for (int j = 0; j < n_; ++j) {
-      consider(j, row_acc_[j]);
-      row_acc_[j] = 0.0;
-    }
-  } else {
-    for (int j = 0; j < total_; ++j) {
-      if (vstat_[j] == kBasic || lb_[j] == ub_[j]) continue;
-      double a;
-      if (j < n_) {
-        a = 0.0;
-        for (int p = col_start_[j]; p < col_start_[j + 1]; ++p)
-          a += dual_rho_[col_row_[p]] * col_val_[p];
-      } else {
-        a = dual_rho_[j - n_];
-      }
-      consider(j, a);
-    }
   }
   if (dual_cands_.empty()) return 2;  // dual ray: primal infeasible
-
-  // Capture the candidate set before the walk consumes the heap. The
-  // column list is sorted here — sparse and dense ratio passes push the
-  // same set in different orders — so traces compare canonically.
-  DualPivotTrace* rec = nullptr;
-  if (dual_trace_ != nullptr) {
-    dual_trace_->emplace_back();
-    rec = &dual_trace_->back();
-    rec->leaving_row = r;
-    rec->candidates.reserve(dual_cands_.size());
-    for (const DualCandidate& cand : dual_cands_)
-      rec->candidates.push_back(cand.col);
-    std::sort(rec->candidates.begin(), rec->candidates.end());
-  }
 
   // --- bound-flipping ratio test: walk the breakpoints in dual-step order;
   // a boxed candidate whose full flip still leaves the leaving variable
@@ -1834,7 +1755,6 @@ int SimplexSolver::iterate_dual() {
     break;
   }
   const double d_chosen = dual_d_[chosen];
-  if (rec != nullptr) rec->entering_col = chosen;
 
   // --- dual step: every nonbasic reduced cost moves along the pivot row.
   // Flipped candidates cross zero (consistent with their new bound); the
@@ -1978,7 +1898,7 @@ LpResult SimplexSolver::solve_dual() {
       // a fresh BTRAN of the basic costs. Together with the theta update in
       // iterate_dual covering every real alpha (dual_row_ is drop_tol-, not
       // pivot_tol-filtered) this is what keeps the incrementally maintained
-      // reduced costs honest — tests/lp/hypersparse_test.cpp pins the drift.
+      // reduced costs honest — tests/lp/dual_simplex_test.cpp pins the drift.
       compute_dual_reduced_costs();
     }
     const int rc = iterate_dual();
@@ -2122,9 +2042,6 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
   price_cursor_ = 0;
   dual_w_valid_ = false;  // basis positions shifted: weights are stale
   stats_.rows_deleted += del;
-  // Rows were renumbered: rebuild the CSR mirror from the compacted CSC
-  // arrays (single choke point).
-  rebuild_row_mirror();
 
   if (has_basis_) {
     // Rebuild the factors at the shrunken size. This is where the fill
@@ -2250,17 +2167,31 @@ bool SimplexSolver::tableau_row(int pos, std::vector<double>& alpha,
   return true;
 }
 
+void SimplexSolver::original_rows(std::vector<std::vector<Term>>& rows,
+                                  std::vector<double>& rhs) const {
+  // One pass over the CSC columns leaves each row's terms in ascending
+  // column order.
+  rows.assign(m_, {});
+  for (int col = 0; col < n_; ++col)
+    for (int p = col_start_[col]; p < col_start_[col + 1]; ++p) {
+      const int row = col_row_[p];
+      double v = col_val_[p];
+      if (scaling_active_) v /= row_scale_[row] * col_scale_[col];
+      rows[row].push_back({col, v});
+    }
+  rhs.resize(m_);
+  for (int row = 0; row < m_; ++row)
+    rhs[row] = scaling_active_ ? rhs_[row] / row_scale_[row] : rhs_[row];
+}
+
 void SimplexSolver::original_row(int row, std::vector<Term>& terms,
                                  double& rhs) const {
   ADVBIST_REQUIRE(row >= 0 && row < m_, "original_row index");
-  terms.clear();
-  for (int p = row_start_[row]; p < row_start_[row + 1]; ++p) {
-    const int col = row_col_[p];
-    double v = row_val_[p];
-    if (scaling_active_) v /= row_scale_[row] * col_scale_[col];
-    terms.push_back({col, v});
-  }
-  rhs = scaling_active_ ? rhs_[row] / row_scale_[row] : rhs_[row];
+  std::vector<std::vector<Term>> rows;
+  std::vector<double> all_rhs;
+  original_rows(rows, all_rhs);
+  terms = std::move(rows[row]);
+  rhs = all_rhs[row];
 }
 
 }  // namespace advbist::lp

@@ -108,23 +108,9 @@
 //    why resets are counted in Stats::devex_resets and pinned by
 //    tests/lp/dual_simplex_test.cpp.
 //
-//  * Hypersparsity (dual ratio test). The dual ratio test prices
-//    alpha_j = rho' a_j for the BTRANed pivot row rho over every nonbasic
-//    column; solve_dual replaces the column-major dense pass with an
-//    indexed walk over a row-wise CSR mirror of the structural columns,
-//    visiting only the rows where rho is nonzero. The walk is engaged
-//    whenever nnz(rho) stays under hypersparse_threshold (counted in
-//    Stats::dual_hypersparse_pivots; a denser rho keeps the column-major
-//    pass and counts in Stats::dual_dense_pivots — never silent). The
-//    BTRAN itself is dense: it value-skips, so off-support entries of rho
-//    are exact zeros the walk never visits. Measured reality on the
-//    built-in circuits: mean nnz(rho) is ~145 of ~750 rows (~19% dense —
-//    NOT the handful of nonzeros classic hypersparsity assumes), which is
-//    why pattern-tracked triangular solves never paid here, while the
-//    indexed walk still engages on >99% of pivots. Everything is exact:
-//    identical candidate sets, entering/leaving sequences and bound flips
-//    to the dense pass, pinned by the differential traces in
-//    tests/lp/hypersparse_test.cpp.
+//  * Dual ratio test. alpha_j = rho' a_j is priced by one dense pass over
+//    the nonbasic columns. An indexed row-wise walk was measured at parity
+//    and deleted: rho, the BTRANed pivot row, is ~19% dense here.
 //
 //  * Counters. Every cumulative LP counter is one row of the
 //    ADVBIST_LP_STATS table below; Stats, its operator+= and the ILP-level
@@ -205,18 +191,6 @@ struct SimplexOptions {
   /// FTRAN per pivot; all-ones restart on each reset) and is the
   /// reference the Devex path is tested against.
   DualPricing dual_pricing = DualPricing::kDevex;
-  /// Hyper-sparse dual ratio test: price alpha_j = rho' a_j by an indexed
-  /// walk over a row-wise CSR mirror of the structural columns (visiting
-  /// only the rows where the BTRANed pivot row rho is nonzero) instead of
-  /// a dense pass over every nonbasic column. Exact: a pivot row denser
-  /// than hypersparse_threshold keeps the dense pass (counted in
-  /// Stats::dual_dense_pivots, never silent), and both passes produce
-  /// bit-identical alphas (see the header comment).
-  bool hypersparse = true;
-  /// Pivot-row density cutoff in (0, 1]: the indexed walk engages only
-  /// while nnz(rho) <= max(8, threshold * m) (a dense rho makes the walk
-  /// cost at least as much as the dense pass it replaces).
-  double hypersparse_threshold = 0.3;
   /// Geometric-mean + equilibration scaling (lp/scaling.hpp) applied to
   /// the internal problem data at construction. All factors are powers of
   /// two, so scaling is EXACT: solutions, bounds and reduced costs are
@@ -266,11 +240,6 @@ struct SimplexOptions {
      solve is normal churn; one per dual PIVOT means Devex has silently       \
      degraded to Dantzig. */                                                  \
   X(devex_resets, sum)                                                        \
-  X(dual_hypersparse_pivots, sum)  /* ratio tests by the indexed CSR walk */  \
-  /* Ratio tests by the dense row pass (hypersparse off, or rho denser than   \
-     hypersparse_threshold): counted, never silent. */                        \
-  X(dual_dense_pivots, sum)                                                   \
-  X(dual_rho_nnz, sum)  /* sum of nnz(rho) over all dual pivots */            \
   X(rows_deleted, sum)  /* cut rows aged out of the LP by delete_rows */      \
   X(peak_rows, max)     /* high-water row count (add_rows growth) */          \
   /* Numerical-recovery ladder, each rung counted when climbed to; the rung   \
@@ -422,11 +391,14 @@ class SimplexSolver {
   /// false when no factorized basis exists or `pos` is out of range.
   bool tableau_row(int pos, std::vector<double>& alpha, double& beta) const;
 
-  /// Constraint row `row` of the CURRENT LP (model rows and appended cut
-  /// rows alike) in original units: terms over structural variables plus
-  /// the right-hand side, so callers can substitute the row's slack
-  /// s_row = rhs - a.x when translating tableau cuts back to structural
-  /// space.
+  /// Every constraint row of the CURRENT LP (model rows and appended cut
+  /// rows alike) in original units: terms over structural variables, in
+  /// ascending column order, plus the right-hand sides, so callers can
+  /// substitute a row's slack s_row = rhs - a.x when translating tableau
+  /// cuts back to structural space. One O(nnz) pass over the columns.
+  void original_rows(std::vector<std::vector<Term>>& rows,
+                     std::vector<double>& rhs) const;
+  /// Row `row` of original_rows(), at the cost of the whole pass.
   void original_row(int row, std::vector<Term>& terms, double& rhs) const;
 
   /// Solves the LP relaxation (minimization) through the primal path:
@@ -513,21 +485,6 @@ class SimplexSolver {
   [[nodiscard]] int num_rows() const { return m_; }
   [[nodiscard]] const std::vector<int>& basis() const { return basis_; }
 
-  /// One dual pivot as seen by the ratio test: the leaving row, the column
-  /// chosen to enter, and the full eligible candidate set in breakpoint
-  /// order. The hypersparse differential suite records paired solvers
-  /// (indexed walk vs dense pass) and requires the sequences identical.
-  struct DualPivotTrace {
-    int leaving_row;
-    int entering_col;
-    std::vector<int> candidates;
-  };
-  /// Testing hook: when non-null, every dual pivot appends one trace
-  /// record. The pointer must outlive subsequent solve_dual() calls
-  /// (nullptr detaches).
-  void set_dual_trace_for_testing(std::vector<DualPivotTrace>* trace) {
-    dual_trace_ = trace;
-  }
   /// Testing hook: max |incrementally maintained dual_d_ - freshly
   /// recomputed reduced cost| over the nonbasic non-fixed columns.
   /// Meaningful right after a solve_dual() that finished on the dual path
@@ -658,13 +615,6 @@ class SimplexSolver {
   /// value-skip and cost O(nnz), never O(m) of multiplies.
   void update_dual_weights(int r, const std::vector<double>& w,
                            const std::vector<double>& rho);
-
-  // --- hypersparse dual ratio test ---
-  /// Rebuilds the row-wise CSR mirror of the structural columns from the
-  /// CSC arrays. The SINGLE choke point for mirror maintenance — called
-  /// from the constructor, add_rows() and delete_rows() right after the
-  /// CSC arrays change, so a stale mirror is impossible by construction.
-  void rebuild_row_mirror();
 
   // --- problem data (immutable except bounds and appended cut rows) ---
   int n_ = 0;          // structural variables
@@ -817,19 +767,6 @@ class SimplexSolver {
   std::vector<double> dual_w_;      // size m_ while valid
   bool dual_w_valid_ = false;
   std::vector<double> dual_tau_;    // B^-1 rho scratch (steepest edge only)
-
-  // --- hypersparse dual pricing state ---
-  // Row-wise CSR mirror of the structural columns: row_start_[i] ..
-  // row_start_[i+1] lists the (column, coefficient) entries of row i,
-  // sorted by column. Rebuilt WHOLE by rebuild_row_mirror() — the single
-  // choke point called from the constructor, add_rows() and
-  // delete_rows() — so it cannot go stale against the CSC arrays.
-  std::vector<int> row_start_, row_col_;
-  std::vector<double> row_val_;
-  // Alpha accumulator over the structural columns (indexed ratio walk);
-  // exactly zero between uses.
-  std::vector<double> row_acc_;  // size n_
-  std::vector<DualPivotTrace>* dual_trace_ = nullptr;  // testing hook
 
   // Markowitz elimination workspace, reused across refactorizations so the
   // per-row vectors keep their capacity (no allocation churn in the hot

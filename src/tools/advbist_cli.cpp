@@ -535,18 +535,6 @@ int cmd_design(const std::string& cmd, int argc, char** argv) {
           st.lp_dual_solves, st.lp_dual_fallbacks,
           st.lp_bound_flips + st.lp_dual_bound_flips,
           st.lp_devex_resets, st.lp_rows_deleted, st.lp_peak_rows);
-    if (st.lp_dual_hypersparse_pivots + st.lp_dual_dense_pivots > 0) {
-      const long long piv =
-          st.lp_dual_hypersparse_pivots + st.lp_dual_dense_pivots;
-      std::printf(
-          "     hypersparse: %lld of %lld dual pivots sparse (%.1f%%), "
-          "mean rho nnz %.1f\n",
-          st.lp_dual_hypersparse_pivots, piv,
-          100.0 * static_cast<double>(st.lp_dual_hypersparse_pivots) /
-              static_cast<double>(piv),
-          static_cast<double>(st.lp_dual_rho_nnz) /
-              static_cast<double>(piv));
-    }
     if (st.strong_branch_probed > 0)
       std::printf(
           "     branching: %d strong-branch probes seeded the shared "

@@ -5,8 +5,10 @@
 // point. Also pins the intended fast path (dual re-solves without primal
 // fallback after bound tightenings and slack-basic row appends), the
 // mandatory fallback on a warm start that cannot be made dual-feasible by
-// bound flips, and the delete_rows bookkeeping (fill accounting against the
-// current row count, not the high-water mark).
+// bound flips, the delete_rows bookkeeping (fill accounting against the
+// current row count, not the high-water mark), and the dual reduced-cost
+// drift: a real but sub-pivot_tol pivot-row entry must still receive the
+// theta update, measured against freshly recomputed reduced costs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -174,8 +176,7 @@ TEST(DualSimplex, RandomizedBoundSequencesMatchPrimalAndCold) {
   EXPECT_LE(devex, se * 3 / 2) << "devex=" << devex << " se=" << se;
   // EXACT trajectory pins. The dual ratio test is specified to be
   // deterministic: tolerance-scaled tie window, drop_tol noise floor, and a
-  // total (ratio, col) breakpoint order. Any change to those rules — or a
-  // hypersparse/dense divergence, since hypersparsity defaults on — moves
+  // total (ratio, col) breakpoint order. Any change to those rules moves
   // at least one of these counts. Re-pin deliberately, never to "fix CI".
   // (Last re-pinned when the Forrest–Tomlin LU update replaced the eta
   // file: FTRAN/BTRAN round differently, which moves degenerate
@@ -535,6 +536,79 @@ TEST(DualSimplex, WeightedPricingAgreesAfterAddDeleteRows) {
     if (c.status == LpStatus::kOptimal)
       EXPECT_NEAR(d.objective, c.objective, kTol)
           << "pricing " << static_cast<int>(pricing);
+  }
+}
+
+TEST(DualSimplex, SubPivotTolAlphaStillGetsTheThetaUpdate) {
+  // The reduced-cost drift fix, pinned end to end. Column z enters the
+  // single constraint row with coefficient 5e-10: after the initial solve
+  // (x basic in the row) the BTRANed pivot row is e_0' B^-1 = [1], so z's
+  // ratio-test alpha is exactly 5e-10 — a REAL entry inside
+  // (drop_tol, pivot_tol) = (1e-13, 1e-9) at the default pivot_tol. z can
+  // never enter (unpivotable), but its reduced cost still moves by
+  // theta*alpha in the dual step. Filtering the theta update at pivot_tol
+  // would leave dual_d_[z] stale by theta*alpha ~ 5e-8 after one pivot
+  // (theta ~ 99 here by construction); updating every real alpha keeps the
+  // incrementally maintained value within rounding of a fresh BTRAN-based
+  // recomputation.
+  Model m;
+  const int x = m.add_variable(0, 10, -100, VarType::kContinuous, "x");
+  const int y = m.add_variable(0, 10, -1, VarType::kContinuous, "y");
+  const int z = m.add_variable(0, 10, 0, VarType::kContinuous, "z");
+  m.add_constraint(
+      LinExpr().add(x, 1.0).add(y, 1.0).add(z, 5e-10), Sense::kLessEqual, 5);
+  SimplexSolver solver(m);
+  ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
+  // x absorbs the whole row (cost -100 dominates); tightening its box
+  // makes the basis primal infeasible and forces a real dual pivot with
+  // leaving row 0 and theta = d_y / alpha_y = 99.
+  solver.set_variable_bounds(x, 0, 1);
+  const LpResult d = solver.solve_dual();
+  ASSERT_EQ(d.status, LpStatus::kOptimal);
+  ASSERT_FALSE(d.dual_fallback);
+  ASSERT_GE(d.dual_iterations, 1);
+  // The primal certificate must not have re-pivoted (primal pivots do not
+  // maintain dual_d_, which would blur what is being measured).
+  ASSERT_EQ(d.phase1_iterations, 0);
+  ASSERT_EQ(d.phase2_iterations, 0);
+  EXPECT_NEAR(d.objective, -100.0 * 1 - 1.0 * 4, kTol);
+  // A filtered update would drift by theta * 5e-10 ~ 5e-8; the real one
+  // is pure rounding, orders of magnitude under the assertion.
+  EXPECT_LT(solver.dual_reduced_cost_drift_for_testing(), 1e-8);
+}
+
+TEST(DualSimplex, DriftStaysBoundedUnderSeededResolveFuzz) {
+  // Incremental-vs-recomputed reduced-cost agreement under churn: long
+  // warm re-solve chains (bounds only, so solve_dual stays on the dual
+  // path) must keep dual_d_ within tolerance of a fresh recomputation —
+  // the refactorization-time refresh plus the drop_tol theta update are
+  // exactly what bound this.
+  util::Rng rng(771239ULL);
+  for (int trial = 0; trial < 15; ++trial) {
+    const Model m = random_lp(rng);
+    const int n = m.num_variables();
+    SimplexSolver solver(m);
+    solver.solve();
+    for (int step = 0; step < 12; ++step) {
+      const int var = rng.next_int(0, n - 1);
+      const double orig_ub = m.variable(var).upper;
+      std::pair<double, double> next;
+      switch (rng.next_int(0, 2)) {
+        case 0: next = {0.0, 0.0}; break;
+        case 1: next = {0.0, orig_ub}; break;
+        default: next = {1.0, orig_ub}; break;
+      }
+      solver.set_variable_bounds(var, next.first, next.second);
+      const LpResult d = solver.solve_dual();
+      // Only a clean dual finish (zero-pivot primal certificate) leaves
+      // dual_d_ as the incrementally maintained vector the hook measures.
+      if (d.status != LpStatus::kOptimal || d.dual_fallback ||
+          d.phase1_iterations + d.phase2_iterations > 0)
+        continue;
+      EXPECT_LT(solver.dual_reduced_cost_drift_for_testing(), 1e-7)
+          << "trial " << trial << " step " << step;
+    }
+    if (::testing::Test::HasFailure()) break;
   }
 }
 
