@@ -68,9 +68,6 @@ SynthesisResult Synthesizer::run(const Formulation& formulation,
   const ilp::Solver solver(solver_options);
   util::Stopwatch watch;
   const ilp::Solution solution = solver.solve(formulation.model());
-  if (solver_options.verbose && solution.stats.threads != 1)
-    util::log_info() << dfg_.name() << ": branch & bound ran on "
-                     << solution.stats.threads << " threads";
 
   SynthesisResult result;
   result.status = solution.status;

@@ -105,11 +105,14 @@ struct Cut {
     const ConflictGraph& graph, const std::vector<double>& x,
     double min_violation, int max_cuts);
 
+/// Cut-pool capacity: least-active unapplied cuts are evicted beyond it.
+inline constexpr int kMaxPoolCuts = 1024;
+
 /// Deduplicating cut pool with activity aging. Not thread-safe; the solver
 /// serializes access under its search mutex.
 class CutPool {
  public:
-  explicit CutPool(int max_size = 1024) : max_size_(max_size) {}
+  explicit CutPool(int max_size = kMaxPoolCuts) : max_size_(max_size) {}
 
   /// Adds a cut unless a structurally identical one is already pooled.
   /// Returns true if the cut was new.

@@ -21,6 +21,12 @@
 
 namespace advbist::ilp {
 
+/// Observations (across ALL workers; the store is shared) a
+/// variable+direction needs before its own average is trusted alone; below
+/// it the estimate blends towards the global average, so one worker's early
+/// outlier cannot steer every other worker's branching. Fixed, not a knob.
+inline constexpr int kPseudocostReliability = 2;
+
 class PseudocostStore {
  public:
   explicit PseudocostStore(int n)
@@ -29,7 +35,7 @@ class PseudocostStore {
   /// Adds an observation with `weight` (> 1 counts it as that many
   /// observations towards reliability). Tree observations use weight 1;
   /// strong-branch and reliability probes record with weight =
-  /// pseudocost_reliability — a probe is an EXACT LP degradation, not a
+  /// kPseudocostReliability — a probe is an EXACT LP degradation, not a
   /// noisy estimate, so it is trusted immediately instead of being blended
   /// away.
   void record(int var, bool up, double per_unit, int weight = 1) {
@@ -44,7 +50,7 @@ class PseudocostStore {
   }
 
   /// Observation count of one direction (relaxed): the reliability test
-  /// `count(v, up) < pseudocost_reliability` decides whether an in-tree
+  /// `count(v, up) < kPseudocostReliability` decides whether an in-tree
   /// probe is worth spending budget on.
   [[nodiscard]] int count(int var, bool up) const {
     const Entry& e = entries_[var];

@@ -101,31 +101,25 @@ struct Fixing {
   double upper;
 };
 
-/// PseudocostStore now lives in ilp/pseudocost.hpp (shared with the
-/// branching tests); the store is still instantiated once per solve and
-/// shared lock-free across workers.
+/// Simplex iteration cap of one strong-branching or reliability probe
+/// re-solve; a probe that runs out records nothing. Fixed, not a knob.
+constexpr int kProbeLpIters = 200;
 
-/// Picks the branching variable: among fractional integers, the highest
-/// priority; ties broken by most-fractional part.
-int pick_branching_variable(const Model& model, const std::vector<double>& x,
-                            const std::vector<int>& priority, double int_tol) {
-  int best = -1;
-  int best_prio = std::numeric_limits<int>::min();
-  double best_frac_score = -1.0;
+/// True when some integer variable of `x` lies farther than
+/// kIntegralityTol from an integer.
+bool has_fractional(const Model& model, const std::vector<double>& x) {
   for (int v = 0; v < model.num_variables(); ++v) {
     if (model.variable(v).type != VarType::kInteger) continue;
     const double frac = x[v] - std::floor(x[v]);
-    const double dist = std::min(frac, 1.0 - frac);
-    if (dist <= int_tol) continue;
-    const int prio = priority.empty() ? 0 : priority[v];
-    const double score = dist;  // closeness to 0.5
-    if (prio > best_prio || (prio == best_prio && score > best_frac_score)) {
-      best = v;
-      best_prio = prio;
-      best_frac_score = score;
-    }
+    if (std::min(frac, 1.0 - frac) > kIntegralityTol) return true;
   }
-  return best;
+  return false;
+}
+
+/// Rounds every integer variable of `x` to its nearest integer.
+void round_integers(const Model& model, std::vector<double>& x) {
+  for (int v = 0; v < model.num_variables(); ++v)
+    if (model.variable(v).type == VarType::kInteger) x[v] = std::round(x[v]);
 }
 
 /// Approximate heap footprint of one pooled node, for the controller's
@@ -151,7 +145,7 @@ struct SearchContext {
   // --- immutable during the search ---
   const Model* model = nullptr;    ///< presolved working model (branching)
   const Model* cut_model = nullptr;  ///< LP model + root cuts (cover source)
-  const ConflictGraph* graph = nullptr;  ///< clique-cut source
+  const ConflictGraph* graph = nullptr;  ///< clique + odd-cycle source
   const Options* options = nullptr;
   std::vector<double> root_lb, root_ub;  ///< incl. probing + root rc fixing
   bool integral_obj = false;
@@ -296,6 +290,97 @@ struct SearchContext {
     if (tightened > 0)
       num_fixings.store(fixings.size(), std::memory_order_release);
     return tightened;
+  }
+
+  /// Installs a candidate incumbent (single writer section; the atomic
+  /// cutoff mirror keeps lock-free pruning reads consistent, and turns a
+  /// non-improving offer away without the lock). An improved cutoff re-runs
+  /// reduced-cost fixing against the root certificate.
+  void offer_incumbent(double objective, std::vector<double> values) {
+    if (objective >= cutoff.load(std::memory_order_relaxed) - kObjImproveEps)
+      return;
+    std::lock_guard<std::mutex> lock(mutex);
+    if (objective < cutoff.load(std::memory_order_relaxed) - kObjImproveEps) {
+      cutoff.store(objective, std::memory_order_relaxed);
+      incumbent = std::move(values);
+      if (options->use_rc_fixing)
+        rc_fixed_incumbent += rc_fix_against(objective);
+    }
+  }
+
+  /// Rounding heuristic: offers `x` with its integers rounded when that
+  /// point is feasible.
+  void offer_rounded(std::vector<double> x) {
+    round_integers(*model, x);
+    if (model->max_violation(x, true) > kActivityEps) return;
+    const double obj = model->objective_value(x);
+    offer_incumbent(obj, std::move(x));
+  }
+
+  /// One separation round at the LP point `x`, the root's and every
+  /// worker's: clique, cover and odd-cycle cuts, then with `gomory` Gomory
+  /// MI cuts read off `lp`, which must have just solved `x` to optimality.
+  /// Gomory shifts go against [lb, ub], which must be globally valid (root
+  /// bounds plus broadcast fixings, NOT a node's branching bounds) so the
+  /// cuts hold pool-wide. Bumps the per-class counters; returns every cut
+  /// found, before pool dedup.
+  std::vector<Cut> separate(const std::vector<double>& x,
+                            const SimplexSolver& lp,
+                            const std::vector<double>& lb,
+                            const std::vector<double>& ub, bool gomory) {
+    const Options& opt = *options;
+    const int max_cuts = opt.max_cuts_per_round;
+    std::vector<Cut> found;
+    const auto keep = [&found](std::vector<Cut> cuts,
+                               std::atomic<long long>& counter) {
+      counter.fetch_add(static_cast<long long>(cuts.size()));
+      for (Cut& c : cuts) found.push_back(std::move(c));
+    };
+    if (opt.use_clique_cuts) {
+      std::vector<Cut> cliques;
+      for (const auto& lits :
+           graph->separate_cliques(x, kCutViolationEps, max_cuts))
+        cliques.push_back(clique_cut_from_literals(lits));
+      keep(std::move(cliques), clique_separated);
+    }
+    if (opt.use_cover_cuts)
+      keep(separate_cover_cuts(*cut_model, {}, x, kCutViolationEps, max_cuts),
+           cover_separated);
+    if (opt.odd_cycle_cuts)
+      keep(separate_odd_cycle_cuts(*graph, x, kCutViolationEps, max_cuts),
+           odd_cycle_separated);
+    if (gomory)
+      keep(separate_gomory_cuts(lp, *cut_model, x, lb, ub, kCutViolationEps,
+                                max_cuts),
+           gomory_separated);
+    return found;
+  }
+
+  /// One side of a strong-branching or reliability probe on `lp`, warm at
+  /// its optimum `base_obj` with x_v = xv: bounds v to the down (x_v <=
+  /// floor) or up (x_v >= floor + 1) side of [lo, hi], re-solves by the dual
+  /// simplex capped at kProbeLpIters, restores [lo, hi] and, when the probe
+  /// is optimal, records its exact per-unit degradation at full reliability
+  /// weight. The caller skips an empty side. Capped probes stay out of the
+  /// LP's dual_solves/dual_fallbacks warm-start diagnostic (see
+  /// SimplexSolver::set_max_iterations).
+  LpStatus probe_side(SimplexSolver& lp, int v, bool up, double xv,
+                      double base_obj, double lo, double hi) {
+    const double fl = std::floor(xv);
+    lp.set_variable_bounds(v, up ? fl + 1.0 : lo, up ? hi : fl);
+    lp.set_max_iterations(kProbeLpIters);
+    const LpResult probe = lp.solve_dual();
+    lp.set_max_iterations(lp::SimplexOptions{}.max_iterations);
+    lp.set_variable_bounds(v, lo, hi);
+    lp_iterations.fetch_add(probe.iterations);
+    if (probe.status == LpStatus::kOptimal) {
+      const double dist = up ? fl + 1.0 - xv : xv - fl;
+      pseudocosts->record(v, up,
+                          std::max(0.0, probe.objective - base_obj) /
+                              std::max(dist, 1e-9),
+                          kPseudocostReliability);
+    }
+    return probe.status;
   }
 };
 
@@ -497,39 +582,8 @@ class Worker {
   /// the number of cuts the pool applied for this point.
   int separate_at(const std::vector<double>& x) {
     const Options& opt = *ctx_.options;
-    std::vector<Cut> found;
-    if (opt.use_clique_cuts && ctx_.graph != nullptr) {
-      const auto cliques = ctx_.graph->separate_cliques(
-          x, kCutViolationEps, opt.max_cuts_per_round);
-      ctx_.clique_separated.fetch_add(static_cast<long long>(cliques.size()));
-      for (const auto& lits : cliques)
-        found.push_back(clique_cut_from_literals(lits));
-    }
-    if (opt.use_cover_cuts && ctx_.cut_model != nullptr) {
-      auto covers = separate_cover_cuts(*ctx_.cut_model, {}, x,
-                                        kCutViolationEps,
-                                        opt.max_cuts_per_round);
-      ctx_.cover_separated.fetch_add(static_cast<long long>(covers.size()));
-      for (Cut& c : covers) found.push_back(std::move(c));
-    }
-    if (opt.odd_cycle_cuts && ctx_.graph != nullptr) {
-      auto cycles = separate_odd_cycle_cuts(*ctx_.graph, x, kCutViolationEps,
-                                            opt.max_cuts_per_round);
-      ctx_.odd_cycle_separated.fetch_add(
-          static_cast<long long>(cycles.size()));
-      for (Cut& c : cycles) found.push_back(std::move(c));
-    }
-    if (opt.gomory_rounds > 0) {
-      // The caller just re-solved this worker's LP to optimality, so the
-      // tableau rows read off simplex_'s live LU factors. Shifting against
-      // the worker's rc-tightened root bounds (NOT the node's branching
-      // bounds) keeps every emitted cut valid pool-wide.
-      auto gmi = separate_gomory_cuts(simplex_, reduced_, x, root_lb_,
-                                      root_ub_, kCutViolationEps,
-                                      opt.max_cuts_per_round);
-      ctx_.gomory_separated.fetch_add(static_cast<long long>(gmi.size()));
-      for (Cut& c : gmi) found.push_back(std::move(c));
-    }
+    std::vector<Cut> found = ctx_.separate(x, simplex_, root_lb_, root_ub_,
+                                           opt.gomory_rounds > 0);
     int applied = 0;
     {
       std::lock_guard<std::mutex> lock(ctx_.mutex);
@@ -617,16 +671,15 @@ class Worker {
   /// degradations (up x down). The estimates come from the SHARED store —
   /// every worker's observed branchings plus the root strong-branching
   /// seed — with a reliability blend towards the global average until a
-  /// variable+direction has pseudocost_reliability observations of its
+  /// variable+direction has kPseudocostReliability observations of its
   /// own. Degenerate 0/1 relaxations carry many alternative optima, so
   /// "closest to 0.5" alone is nearly a coin flip — steering by observed
   /// bound movement is what keeps the proven bound climbing.
-  int pick_branch(const std::vector<double>& x, double int_tol) {
+  int pick_branch(const std::vector<double>& x) {
     const Model& model = *ctx_.model;
     const std::vector<int>& priority = ctx_.options->branch_priority;
     const int n = model.num_variables();
     const PseudocostStore& pc = *ctx_.pseudocosts;
-    const int rel = std::max(1, ctx_.options->pseudocost_reliability);
     // The global averages are an O(n) scan over shared atomics; refreshing
     // them every few picks (instead of every pick) keeps the branching
     // hot path off the cross-worker cache lines record() keeps dirtying.
@@ -645,10 +698,12 @@ class Worker {
       if (model.variable(v).type != VarType::kInteger) continue;
       const double frac = x[v] - std::floor(x[v]);
       const double dist = std::min(frac, 1.0 - frac);
-      if (dist <= int_tol) continue;
+      if (dist <= kIntegralityTol) continue;
       const int prio = priority.empty() ? 0 : priority[v];
-      const double est_up = pc.estimate(v, true, rel, avg_up);
-      const double est_down = pc.estimate(v, false, rel, avg_down);
+      const double est_up =
+          pc.estimate(v, true, kPseudocostReliability, avg_up);
+      const double est_down =
+          pc.estimate(v, false, kPseudocostReliability, avg_down);
       // The product rule, floored so a zero estimate (no data at all, or a
       // genuinely free direction) degrades to most-fractional scoring
       // instead of flattening every candidate to zero.
@@ -676,10 +731,10 @@ class Worker {
 
   /// In-tree reliability branching: bounded dual-simplex probes on THIS
   /// worker's warm node basis, for fractional candidates still below the
-  /// pseudocost reliability threshold. Each probe is the root
-  /// strong-branching pattern verbatim — bound one side, capped re-solve,
-  /// restore — and an optimal probe feeds the EXACT degradation into the
-  /// shared store at full reliability weight. An infeasible probe tightens:
+  /// pseudocost reliability threshold. Each probe is
+  /// SearchContext::probe_side, the one root strong branching runs, so an
+  /// optimal probe feeds the EXACT degradation into the shared store at
+  /// full reliability weight. An infeasible probe tightens:
   /// globally (broadcast through the fixing log, like rc fixing) when the
   /// node still sits on the root box, node-locally otherwise — an empty
   /// branch below a branched node proves nothing outside its subtree. The
@@ -690,10 +745,8 @@ class Worker {
   /// reflect any tightening-driven re-solve.
   ProbeOutcome probe_reliability(Node& node, LpResult& lp, double& bound,
                                  int& branch_var) {
-    const Options& opt = *ctx_.options;
     PseudocostStore& pc = *ctx_.pseudocosts;
     const Model& model = *ctx_.model;
-    const int rel = std::max(1, opt.pseudocost_reliability);
     int allowance = reliability_probe_allowance(
         ctx_.reliability_budget.load(std::memory_order_relaxed), node.depth);
     if (allowance <= 0) return ProbeOutcome::kContinue;
@@ -710,8 +763,10 @@ class Worker {
       if (model.variable(v).type != VarType::kInteger) continue;
       const double frac = lp.x[v] - std::floor(lp.x[v]);
       const double dist = std::min(frac, 1.0 - frac);
-      if (dist <= opt.integrality_tol) continue;
-      if (pc.count(v, true) >= rel && pc.count(v, false) >= rel) continue;
+      if (dist <= kIntegralityTol) continue;
+      if (pc.count(v, true) >= kPseudocostReliability &&
+          pc.count(v, false) >= kPseudocostReliability)
+        continue;
       cands.push_back(Cand{v, dist});
     }
     if (cands.empty()) return ProbeOutcome::kContinue;
@@ -720,9 +775,6 @@ class Worker {
       return a.v < b.v;
     });
 
-    // Capped probes stay out of the LP's dual_solves/dual_fallbacks
-    // warm-start diagnostic (see SimplexSolver::set_max_iterations).
-    simplex_.set_max_iterations(std::max(1, opt.strong_branch_lp_iters));
     bool infeasible_node = false;
     bool tightened_node = false;
     for (const Cand& c : cands) {
@@ -733,10 +785,8 @@ class Worker {
       const double hi = simplex_.variable_upper(c.v);
       for (const bool up : {false, true}) {
         if (allowance <= 0) break;
-        if (pc.count(c.v, up) >= rel) continue;
-        const double plo = up ? fl + 1.0 : lo;
-        const double phi = up ? hi : fl;
-        if (plo > phi) continue;
+        if (pc.count(c.v, up) >= kPseudocostReliability) continue;
+        if (up ? fl + 1.0 > hi : lo > fl) continue;  // empty side
         // One unit of the GLOBAL budget per probe solve. The decrement
         // races benignly across workers: a brief overshoot costs a couple
         // of capped LP solves, never correctness.
@@ -747,18 +797,10 @@ class Worker {
           break;
         }
         --allowance;
-        simplex_.set_variable_bounds(c.v, plo, phi);
-        const LpResult probe = simplex_.solve_dual();
-        ctx_.lp_iterations.fetch_add(probe.iterations);
+        const LpStatus probe =
+            ctx_.probe_side(simplex_, c.v, up, xv, lp.objective, lo, hi);
         ctx_.reliability_probed.fetch_add(1, std::memory_order_relaxed);
-        simplex_.set_variable_bounds(c.v, lo, hi);
-        if (probe.status == LpStatus::kOptimal) {
-          const double dist = up ? fl + 1.0 - xv : xv - fl;
-          pc.record(c.v, up,
-                    std::max(0.0, probe.objective - lp.objective) /
-                        std::max(dist, 1e-9),
-                    rel);
-        } else if (probe.status == LpStatus::kInfeasible) {
+        if (probe == LpStatus::kInfeasible) {
           const double nlo = up ? lo : fl + 1.0;
           const double nhi = up ? fl : hi;
           if (nlo > nhi) {  // both directions empty: so is the node region
@@ -804,14 +846,14 @@ class Worker {
                                        std::min(nhi, root_ub_[c.v]));
           tightened_node = true;
           break;  // the relaxation moved; probing stale fractions is noise
-        } else if (probe.status != LpStatus::kIterLimit) {
+        } else if (probe != LpStatus::kOptimal &&
+                   probe != LpStatus::kIterLimit) {
           // Aborted mid-probe (controller latch): stop probing quietly;
           // the caller's normal controller checks handle the real stop.
           allowance = 0;
         }
       }
     }
-    simplex_.set_max_iterations(lp::SimplexOptions{}.max_iterations);
     if (infeasible_node) return ProbeOutcome::kPrune;
     if (!tightened_node) return ProbeOutcome::kContinue;
     // A tightening moved the relaxation: re-solve (uncapped) so branching
@@ -823,7 +865,7 @@ class Worker {
     if (lp.status != LpStatus::kOptimal) return ProbeOutcome::kDrop;
     bound = ctx_.node_bound(lp.objective);
     if (ctx_.prunable(bound)) return ProbeOutcome::kPrune;
-    branch_var = pick_branch(lp.x, opt.integrality_tol);
+    branch_var = pick_branch(lp.x);
     return ProbeOutcome::kContinue;
   }
 
@@ -863,7 +905,7 @@ class Worker {
         if (dive_lp_->variable_lower(v) >= dive_lp_->variable_upper(v))
           continue;
         const double dist = std::abs(x[v] - std::round(x[v]));
-        if (dist <= opt.integrality_tol) continue;
+        if (dist <= kIntegralityTol) continue;
         if (dist < pick_dist) {
           pick_dist = dist;
           pick = v;
@@ -871,14 +913,7 @@ class Worker {
       }
       if (pick < 0) {
         // Integral relaxation: a feasible point of the original model.
-        std::vector<double> rounded = std::move(x);
-        for (int v = 0; v < n; ++v)
-          if (model.variable(v).type == VarType::kInteger)
-            rounded[v] = std::round(rounded[v]);
-        if (model.max_violation(rounded, true) <= kActivityEps) {
-          const double obj = model.objective_value(rounded);
-          offer_incumbent(obj, std::move(rounded));
-        }
+        ctx_.offer_rounded(std::move(x));
         return;
       }
       const double lo = dive_lp_->variable_lower(pick);
@@ -920,24 +955,6 @@ class Worker {
       simplex_.set_variable_bounds(bc.var, lo, hi);
     }
     return true;
-  }
-
-  /// Installs a candidate incumbent (single writer section; the atomic
-  /// cutoff mirror keeps lock-free pruning reads consistent). An improved
-  /// cutoff re-runs reduced-cost fixing against the root certificate.
-  void offer_incumbent(double objective, std::vector<double> values) {
-    std::lock_guard<std::mutex> lock(ctx_.mutex);
-    if (objective <
-        ctx_.cutoff.load(std::memory_order_relaxed) - kObjImproveEps) {
-      ctx_.cutoff.store(objective, std::memory_order_relaxed);
-      ctx_.incumbent = std::move(values);
-      if (ctx_.options->use_rc_fixing)
-        ctx_.rc_fixed_incumbent += ctx_.rc_fix_against(objective);
-      if (ctx_.options->verbose)
-        util::log_info() << "incumbent " << objective << " at node "
-                         << ctx_.nodes.load() << " (" << ctx_.watch.seconds()
-                         << "s)";
-    }
   }
 
   void process(Node node) {
@@ -995,9 +1012,6 @@ class Worker {
       return;
     }
 
-    const Model& model = *ctx_.model;
-    const int n = model.num_variables();
-
     record_pseudocost(node, lp.objective);
     double bound = ctx_.node_bound(lp.objective);
     if (ctx_.prunable(bound)) return;
@@ -1006,23 +1020,12 @@ class Worker {
     // feasibility check is O(nnz), noise next to the node's LP re-solve, so
     // it runs at every node — incumbents surface long before the tree
     // search reaches an integral leaf by branching alone.
-    if (opt.use_rounding_heuristic) {
-      std::vector<double> rounded = lp.x;
-      for (int v = 0; v < n; ++v)
-        if (model.variable(v).type == VarType::kInteger)
-          rounded[v] = std::round(rounded[v]);
-      if (model.max_violation(rounded, true) <= kActivityEps) {
-        const double obj = model.objective_value(rounded);
-        if (obj < ctx_.cutoff.load(std::memory_order_relaxed) - kObjImproveEps)
-          offer_incumbent(obj, std::move(rounded));
-      }
-    }
+    if (opt.use_rounding_heuristic) ctx_.offer_rounded(lp.x);
 
     // Branching target; in-tree separation may tighten the LP and retry.
-    int branch_var = pick_branch(lp.x, opt.integrality_tol);
+    // The pool exists only when some separator class is on.
+    int branch_var = pick_branch(lp.x);
     const bool cuts_on = opt.cut_node_interval > 0 && ctx_.cut_pool != nullptr &&
-                         (opt.use_clique_cuts || opt.use_cover_cuts ||
-                          opt.gomory_rounds > 0 || opt.odd_cycle_cuts) &&
                          !ctx_.shed_cuts.load(std::memory_order_relaxed);
     if (cuts_on && branch_var >= 0 &&
         ++nodes_since_separation_ >= opt.cut_node_interval) {
@@ -1044,7 +1047,7 @@ class Worker {
         }
         bound = ctx_.node_bound(lp.objective);
         if (ctx_.prunable(bound)) return;
-        branch_var = pick_branch(lp.x, opt.integrality_tol);
+        branch_var = pick_branch(lp.x);
       }
     }
 
@@ -1053,9 +1056,8 @@ class Worker {
     // allowance left, spend bounded dual probes before trusting the pick.
     if (branch_var >= 0 && opt.reliability_probe_budget > 0 &&
         ctx_.reliability_budget.load(std::memory_order_relaxed) > 0) {
-      const int rel = std::max(1, opt.pseudocost_reliability);
-      if (ctx_.pseudocosts->count(branch_var, true) < rel ||
-          ctx_.pseudocosts->count(branch_var, false) < rel) {
+      if (ctx_.pseudocosts->count(branch_var, true) < kPseudocostReliability ||
+          ctx_.pseudocosts->count(branch_var, false) < kPseudocostReliability) {
         switch (probe_reliability(node, lp, bound, branch_var)) {
           case ProbeOutcome::kPrune:
             return;
@@ -1084,11 +1086,8 @@ class Worker {
 
     if (branch_var < 0) {
       // Integral LP optimum: new incumbent.
-      std::vector<double> values = std::move(lp.x);
-      for (int v = 0; v < n; ++v)
-        if (model.variable(v).type == VarType::kInteger)
-          values[v] = std::round(values[v]);
-      offer_incumbent(lp.objective, std::move(values));
+      round_integers(*ctx_.model, lp.x);
+      ctx_.offer_incumbent(lp.objective, std::move(lp.x));
       return;
     }
 
@@ -1337,6 +1336,41 @@ Solution Solver::solve_impl(const Model& input,
                             const SolveCheckpoint* snapshot) const {
   Solution sol;
   SearchContext ctx;
+  // The root LP solver, built by the root cut loop or strong branching:
+  // both run on its warm basis, and the exit audit re-solves it.
+  std::optional<SimplexSolver> root_lp;
+  // Per-phase wall clock: `phase` is the running phase's Stats field, timed
+  // from phase_mark.
+  double* phase = &sol.stats.presolve_seconds;
+  double phase_mark = 0.0;
+  const auto next_phase = [&](double* next) {
+    const double now = ctx.watch.seconds();
+    *phase = now - phase_mark;
+    phase = next;
+    phase_mark = now;
+  };
+  // Copies the LP work into the stats, once per solve: the root LP's plus
+  // every retired worker's.
+  const auto report_lp = [&] {
+    if (root_lp) {
+      ctx.lp_stats += root_lp->stats();
+      ctx.lp_scaling_active |= root_lp->scaling_active();
+    }
+    sol.stats.lp_iterations = ctx.lp_iterations.load();
+    sol.stats.lp_scaling_active = ctx.lp_scaling_active;
+#define ADVBIST_LP_STATS_COPY(name, merge) \
+  sol.stats.lp_##name = ctx.lp_stats.name;
+    ADVBIST_LP_STATS(ADVBIST_LP_STATS_COPY)
+#undef ADVBIST_LP_STATS_COPY
+  };
+  // Every return before the tree search.
+  const auto finish = [&](SolveStatus status) {
+    *phase = ctx.watch.seconds() - phase_mark;
+    report_lp();
+    sol.status = status;
+    sol.stats.seconds = ctx.watch.seconds();
+    return sol;
+  };
 
   // Sanitizer gate: every model — built-in, file-sourced or serve job —
   // passes through lp::sanitize_model before presolve sees it. Rejection
@@ -1356,15 +1390,11 @@ Solution Solver::solve_impl(const Model& input,
   if (sanitized.diag.cls == lp::ModelClass::kRejected) {
     util::log_warn() << "sanitizer: model rejected ("
                      << sanitized.diag.first_issue << ")";
-    sol.status = SolveStatus::kInvalidModel;
-    sol.stats.seconds = ctx.watch.seconds();
-    return sol;
+    return finish(SolveStatus::kInvalidModel);
   }
   if (sanitized.diag.proven_infeasible) {
     sol.stats.sanitizer_proven_infeasible = true;
-    sol.status = SolveStatus::kInfeasible;
-    sol.stats.seconds = ctx.watch.seconds();
-    return sol;
+    return finish(SolveStatus::kInfeasible);
   }
   const Model& original = sanitized.model;
 
@@ -1411,11 +1441,7 @@ Solution Solver::solve_impl(const Model& input,
   std::vector<bool> row_redundant;
   if (options_.use_presolve) {
     PresolveResult pre = presolve(model);
-    if (pre.infeasible) {
-      sol.status = SolveStatus::kInfeasible;
-      sol.stats.seconds = ctx.watch.seconds();
-      return sol;
-    }
+    if (pre.infeasible) return finish(SolveStatus::kInfeasible);
     row_redundant = std::move(pre.row_redundant);
 
     // Probing: one level of implication depth on every unfixed binary.
@@ -1427,18 +1453,10 @@ Solution Solver::solve_impl(const Model& input,
       sol.stats.probing_probed = probe.probed;
       sol.stats.probing_fixed = probe.fixed;
       sol.stats.probing_implications = probe.implications;
-      if (probe.infeasible) {
-        sol.status = SolveStatus::kInfeasible;
-        sol.stats.seconds = ctx.watch.seconds();
-        return sol;
-      }
+      if (probe.infeasible) return finish(SolveStatus::kInfeasible);
       if (probe.fixed > 0 || probe.bounds_tightened > 0) {
         PresolveResult pre2 = presolve(model);
-        if (pre2.infeasible) {
-          sol.status = SolveStatus::kInfeasible;
-          sol.stats.seconds = ctx.watch.seconds();
-          return sol;
-        }
+        if (pre2.infeasible) return finish(SolveStatus::kInfeasible);
         row_redundant = std::move(pre2.row_redundant);
       }
     }
@@ -1456,11 +1474,7 @@ Solution Solver::solve_impl(const Model& input,
   ReducedModelResult reduction = build_reduced_model(model, row_redundant);
   sol.stats.presolve_dropped_rows = reduction.dropped_rows;
   sol.stats.presolve_dropped_terms = reduction.dropped_terms;
-  if (reduction.infeasible) {
-    sol.status = SolveStatus::kInfeasible;
-    sol.stats.seconds = ctx.watch.seconds();
-    return sol;
-  }
+  if (reduction.infeasible) return finish(SolveStatus::kInfeasible);
   Model& reduced = reduction.model;
 
   // Conflict edges readable straight off the surviving rows (one-hot and
@@ -1472,6 +1486,8 @@ Solution Solver::solve_impl(const Model& input,
   graph.finalize();
 
   ctx.model = &model;
+  ctx.cut_model = &reduced;
+  ctx.graph = &graph;
   ctx.options = &options_;
   ctx.integral_obj = model.objective_is_integral();
   ctx.reliability_budget.store(
@@ -1497,16 +1513,14 @@ Solution Solver::solve_impl(const Model& input,
     ctx.cutoff.store(restored->cutoff);
     if (restored->has_incumbent) ctx.incumbent = restored->incumbent;
   }
-  sol.stats.presolve_seconds = ctx.watch.seconds();
-  double phase_mark = sol.stats.presolve_seconds;
+  next_phase(&sol.stats.root_cut_seconds);
 
   // ---------------------------------------------------------------------
-  // Root cut-and-fix loop: rounds of clique/cover separation against the
-  // root LP (rows appended in place on the factorized basis), a rounding
-  // incumbent per round, and reduced-cost fixing off the final root basis.
+  // Root cut-and-fix loop: rounds of separation against the root LP (rows
+  // appended in place on the factorized basis), a rounding incumbent per
+  // round, and reduced-cost fixing off the final root basis.
   // ---------------------------------------------------------------------
-  CutPool pool(std::max(options_.max_pool_cuts,
-                        options_.max_cuts_per_round));
+  CutPool pool(std::max(kMaxPoolCuts, options_.max_cuts_per_round));
   const bool cuts_enabled =
       options_.use_clique_cuts || options_.use_cover_cuts ||
       options_.gomory_rounds > 0 || options_.odd_cycle_cuts;
@@ -1514,12 +1528,6 @@ Solution Solver::solve_impl(const Model& input,
       (options_.cut_rounds > 0 && cuts_enabled) || options_.use_rc_fixing;
   double root_bound = -lp::kInfinity;
   int rc_fixed_root = 0;
-
-  // The root LP solver outlives the cut loop: strong branching below
-  // probes on its warm optimal basis instead of cold-solving the root a
-  // second time. Its factorization counters are folded into the shared
-  // stats once, after both uses.
-  std::optional<SimplexSolver> root_lp;
   LpResult rlp;  // most recent root LP result (kIterLimit until solved)
 
   if (run_root_loop) {
@@ -1527,34 +1535,14 @@ Solution Solver::solve_impl(const Model& input,
     root_lp->set_controller(&controller);
     rlp = root_lp->solve();
     ctx.lp_iterations.fetch_add(rlp.iterations);
-    if (rlp.status == LpStatus::kInfeasible) {
-      sol.status = SolveStatus::kInfeasible;
-      sol.stats.seconds = ctx.watch.seconds();
-      return sol;
-    }
-    if (rlp.status == LpStatus::kUnbounded) {
-      sol.status = SolveStatus::kUnbounded;
-      sol.stats.seconds = ctx.watch.seconds();
-      return sol;
-    }
+    if (rlp.status == LpStatus::kInfeasible)
+      return finish(SolveStatus::kInfeasible);
+    if (rlp.status == LpStatus::kUnbounded)
+      return finish(SolveStatus::kUnbounded);
     if (rlp.status == LpStatus::kOptimal) {
       sol.stats.root_lp_bound = ctx.node_bound(rlp.objective);
-
-      auto try_round = [&](const std::vector<double>& x) {
-        if (!options_.use_rounding_heuristic) return;
-        std::vector<double> rounded = x;
-        for (int v = 0; v < n; ++v)
-          if (model.variable(v).type == VarType::kInteger)
-            rounded[v] = std::round(rounded[v]);
-        if (model.max_violation(rounded, true) <= kActivityEps) {
-          const double obj = model.objective_value(rounded);
-          if (obj < ctx.cutoff.load() - kObjImproveEps) {
-            ctx.cutoff.store(obj);
-            ctx.incumbent = std::move(rounded);
-          }
-        }
-      };
-      try_round(rlp.x);
+      // Before root_rc_valid, an offered incumbent fixes nothing.
+      if (options_.use_rounding_heuristic) ctx.offer_rounded(rlp.x);
 
       if (options_.cut_rounds > 0 && cuts_enabled) {
         double prev_bound = rlp.objective;
@@ -1565,43 +1553,13 @@ Solution Solver::solve_impl(const Model& input,
           // them INSIDE a long re-solve, so no single round can overshoot.
           if (controller.check() != util::StopReason::kNone) break;
           const std::vector<double>& x = rlp.x;
-          if (pick_branching_variable(model, x, options_.branch_priority,
-                                      options_.integrality_tol) < 0)
-            break;  // integral root: the search concludes immediately
-          if (options_.use_clique_cuts) {
-            const auto cliques = graph.separate_cliques(
-                x, kCutViolationEps, options_.max_cuts_per_round);
-            ctx.clique_separated.fetch_add(
-                static_cast<long long>(cliques.size()));
-            for (const auto& lits : cliques)
-              pool.add(clique_cut_from_literals(lits));
-          }
-          if (options_.use_cover_cuts) {
-            auto covers =
-                separate_cover_cuts(reduced, {}, x, kCutViolationEps,
-                                    options_.max_cuts_per_round);
-            ctx.cover_separated.fetch_add(
-                static_cast<long long>(covers.size()));
-            for (Cut& c : covers) pool.add(std::move(c));
-          }
-          if (options_.odd_cycle_cuts) {
-            auto cycles = separate_odd_cycle_cuts(
-                graph, x, kCutViolationEps, options_.max_cuts_per_round);
-            ctx.odd_cycle_separated.fetch_add(
-                static_cast<long long>(cycles.size()));
-            for (Cut& c : cycles) pool.add(std::move(c));
-          }
-          if (round < options_.gomory_rounds) {
-            // Tableau rows come straight off the root LP's warm LU factors
-            // (one BTRAN per fractional integer basic). Shifts go against
-            // the ROOT bounds, so the cuts stay valid pool-wide.
-            auto gmi = separate_gomory_cuts(*root_lp, reduced, x,
-                                            ctx.root_lb, ctx.root_ub,
-                                            kCutViolationEps,
-                                            options_.max_cuts_per_round);
-            ctx.gomory_separated.fetch_add(static_cast<long long>(gmi.size()));
-            for (Cut& c : gmi) pool.add(std::move(c));
-          }
+          // An integral root concludes the search immediately.
+          if (!has_fractional(model, x)) break;
+          // Gomory shifts go against the ROOT bounds, so the cuts stay
+          // valid pool-wide.
+          for (Cut& c : ctx.separate(x, *root_lp, ctx.root_lb, ctx.root_ub,
+                                     round < options_.gomory_rounds))
+            pool.add(std::move(c));
           const std::vector<Cut> taken = pool.take_violated(
               x, kCutViolationEps, options_.max_cuts_per_round);
           if (taken.empty()) break;
@@ -1619,14 +1577,11 @@ Solution Solver::solve_impl(const Model& input,
           // applies at the root exactly as it does in the tree.
           rlp = root_lp->solve_dual();
           ctx.lp_iterations.fetch_add(rlp.iterations);
-          if (rlp.status == LpStatus::kInfeasible) {
-            // Valid cuts + feasible LP turned infeasible: no integer point.
-            sol.status = SolveStatus::kInfeasible;
-            sol.stats.seconds = ctx.watch.seconds();
-            return sol;
-          }
+          // Valid cuts + feasible LP turned infeasible: no integer point.
+          if (rlp.status == LpStatus::kInfeasible)
+            return finish(SolveStatus::kInfeasible);
           if (rlp.status != LpStatus::kOptimal) break;
-          try_round(rlp.x);
+          if (options_.use_rounding_heuristic) ctx.offer_rounded(rlp.x);
           // Two consecutive stalled rounds end the loop: the pool keeps the
           // separated-but-idle cuts and ages them out.
           if (rlp.objective < prev_bound + kIntEps) {
@@ -1675,6 +1630,7 @@ Solution Solver::solve_impl(const Model& input,
       }
     }
   }
+  next_phase(&sol.stats.strong_branch_seconds);
 
   // ---------------------------------------------------------------------
   // Root strong branching: bounded dual probing re-solves on the most
@@ -1686,9 +1642,6 @@ Solution Solver::solve_impl(const Model& input,
   // variable the other way — globally valid, like a reduced-cost fixing —
   // and two infeasible directions prove the whole model infeasible.
   // ---------------------------------------------------------------------
-  sol.stats.root_cut_seconds = ctx.watch.seconds() - phase_mark;
-  phase_mark = ctx.watch.seconds();
-
   PseudocostStore pcstore(n);
   ctx.pseudocosts = &pcstore;
   // A resumed run inherits the interrupted run's pseudocosts (restored
@@ -1719,7 +1672,7 @@ Solution Solver::solve_impl(const Model& input,
       for (int v = 0; v < n; ++v) {
         if (model.variable(v).type != VarType::kInteger) continue;
         const double frac = base.x[v] - std::floor(base.x[v]);
-        if (std::min(frac, 1.0 - frac) <= options_.integrality_tol) continue;
+        if (std::min(frac, 1.0 - frac) <= kIntegralityTol) continue;
         cands.push_back(Cand{v, frac,
                              options_.branch_priority.empty()
                                  ? 0
@@ -1734,69 +1687,55 @@ Solution Solver::solve_impl(const Model& input,
       });
       if (static_cast<int>(cands.size()) > options_.strong_branch_vars)
         cands.resize(options_.strong_branch_vars);
-      // Every probe from here on is a BOUNDED dual re-solve: a probe that
-      // runs out of its iteration budget returns kIterLimit and records
-      // nothing, so strong branching cannot blow the root time up.
-      sb.set_max_iterations(std::max(1, options_.strong_branch_lp_iters));
+      // Every probe is a BOUNDED dual re-solve (SearchContext::probe_side):
+      // a probe that runs out of its iteration budget records nothing, so
+      // strong branching cannot blow the root time up.
       for (const Cand& c : cands) {
         if (controller.check() != util::StopReason::kNone) break;
         // Re-derive fractionality from the CURRENT base (a fixing may have
         // re-solved it since the candidates were ranked).
         const double xv = base.x[c.v];
         const double fl = std::floor(xv);
-        if (std::min(xv - fl, fl + 1.0 - xv) <= options_.integrality_tol)
-          continue;
+        if (std::min(xv - fl, fl + 1.0 - xv) <= kIntegralityTol) continue;
         bool fixed_here = false;
         for (const bool up : {false, true}) {
           const double lo = ctx.root_lb[c.v], hi = ctx.root_ub[c.v];
-          const double plo = up ? fl + 1.0 : lo;
-          const double phi = up ? hi : fl;
-          if (plo > phi) continue;  // a prior fixing emptied this branch
-          sb.set_variable_bounds(c.v, plo, phi);
-          const LpResult probe = sb.solve_dual();
-          ctx.lp_iterations.fetch_add(probe.iterations);
+          // A prior fixing may have emptied this side.
+          if (up ? fl + 1.0 > hi : lo > fl) continue;
           ++sol.stats.strong_branch_probed;
-          sb.set_variable_bounds(c.v, lo, hi);
-          if (probe.status == LpStatus::kOptimal) {
-            const double dist = up ? fl + 1.0 - xv : xv - fl;
-            pcstore.record(c.v, up,
-                           std::max(0.0, probe.objective - base.objective) /
-                               std::max(dist, 1e-9),
-                           std::max(1, options_.pseudocost_reliability));
-          } else if (probe.status == LpStatus::kInfeasible) {
-            // No LP point in the branch, hence no integer point: the
-            // complement bound is globally valid.
-            const double nlo = up ? lo : fl + 1.0;
-            const double nhi = up ? fl : hi;
-            if (nlo > nhi) {
-              sb_infeasible = true;  // both directions empty
-              break;
-            }
-            ctx.root_lb[c.v] = nlo;
-            ctx.root_ub[c.v] = nhi;
-            if (ctx.root_rc_valid) {
-              ctx.rc_lb[c.v] = std::max(ctx.rc_lb[c.v], nlo);
-              ctx.rc_ub[c.v] = std::min(ctx.rc_ub[c.v], nhi);
-            }
-            reduced.set_bounds(c.v, nlo, nhi);
-            sb.set_variable_bounds(c.v, nlo, nhi);
-            ++sol.stats.strong_branch_fixed;
-            // A fixed variable is never branched on again: drop its seeded
-            // history so it cannot skew the global pseudocost averages.
-            pcstore.purge(c.v);
-            fixed_here = true;
-            break;  // the base moved; re-solve before probing further
+          if (ctx.probe_side(sb, c.v, up, xv, base.objective, lo, hi) !=
+              LpStatus::kInfeasible)
+            continue;
+          // No LP point in the branch, hence no integer point: the
+          // complement bound is globally valid.
+          const double nlo = up ? lo : fl + 1.0;
+          const double nhi = up ? fl : hi;
+          if (nlo > nhi) {
+            sb_infeasible = true;  // both directions empty
+            break;
           }
+          ctx.root_lb[c.v] = nlo;
+          ctx.root_ub[c.v] = nhi;
+          if (ctx.root_rc_valid) {
+            ctx.rc_lb[c.v] = std::max(ctx.rc_lb[c.v], nlo);
+            ctx.rc_ub[c.v] = std::min(ctx.rc_ub[c.v], nhi);
+          }
+          reduced.set_bounds(c.v, nlo, nhi);
+          sb.set_variable_bounds(c.v, nlo, nhi);
+          ++sol.stats.strong_branch_fixed;
+          // A fixed variable is never branched on again: drop its seeded
+          // history so it cannot skew the global pseudocost averages.
+          pcstore.purge(c.v);
+          fixed_here = true;
+          break;  // the base moved; re-solve before probing further
         }
         if (sb_infeasible) break;
         if (fixed_here) {
           // A fixing moved the root optimum: re-solve (uncapped) so every
           // later candidate's degradation is measured against the true
-          // current base, then restore the probe budget.
-          sb.set_max_iterations(lp::SimplexOptions{}.max_iterations);
+          // current base.
           const LpResult rebase = sb.solve_dual();
           ctx.lp_iterations.fetch_add(rebase.iterations);
-          sb.set_max_iterations(std::max(1, options_.strong_branch_lp_iters));
           if (rebase.status == LpStatus::kInfeasible) {
             sb_infeasible = true;
             break;
@@ -1806,21 +1745,9 @@ Solution Solver::solve_impl(const Model& input,
         }
       }
     }
-    if (sb_infeasible) {
-      // Early infeasible return: like the other pre-search returns, only
-      // status/seconds are reported (no lp_* stats reduction happens).
-      sol.status = SolveStatus::kInfeasible;
-      sol.stats.seconds = ctx.watch.seconds();
-      return sol;
-    }
+    if (sb_infeasible) return finish(SolveStatus::kInfeasible);
   }
-  if (root_lp) {
-    ctx.lp_stats += root_lp->stats();
-    ctx.lp_scaling_active |= root_lp->scaling_active();
-  }
-
-  sol.stats.strong_branch_seconds = ctx.watch.seconds() - phase_mark;
-  phase_mark = ctx.watch.seconds();
+  next_phase(&sol.stats.search_seconds);
 
   if (restored != nullptr) {
     // Bake the interrupted run's globally tightened bounds (probing +
@@ -1843,10 +1770,6 @@ Solution Solver::solve_impl(const Model& input,
     }
   }
 
-  ctx.cut_model = &reduced;
-  ctx.graph = (options_.use_clique_cuts || options_.odd_cycle_cuts)
-                  ? &graph
-                  : nullptr;
   ctx.cut_pool = cuts_enabled ? &pool : nullptr;
   ctx.root_applied_cuts = pool.applied().size();
   if (restored != nullptr && cuts_enabled) {
@@ -1963,7 +1886,7 @@ Solution Solver::solve_impl(const Model& input,
   // reads the joined workers' state under no concurrency.
   sol.stats.search_seconds = ctx.watch.seconds() - phase_mark;
   sol.stats.nodes = ctx.nodes.load();
-  sol.stats.lp_iterations = ctx.lp_iterations.load();
+  report_lp();
   sol.stats.dropped_nodes = ctx.dropped_nodes.load();
   sol.stats.stolen_nodes = ctx.stolen_nodes;
   sol.stats.termination = controller.reason();
@@ -1971,11 +1894,6 @@ Solution Solver::solve_impl(const Model& input,
   sol.stats.shed_diving = ctx.shed_diving.load();
   sol.stats.peak_memory_bytes = controller.peak_memory();
   sol.stats.seconds = ctx.watch.seconds();
-  sol.stats.lp_scaling_active = ctx.lp_scaling_active;
-#define ADVBIST_LP_STATS_COPY(name, merge) \
-  sol.stats.lp_##name = ctx.lp_stats.name;
-  ADVBIST_LP_STATS(ADVBIST_LP_STATS_COPY)
-#undef ADVBIST_LP_STATS_COPY
   sol.stats.cuts_clique_separated = ctx.clique_separated.load();
   sol.stats.cuts_cover_separated = ctx.cover_separated.load();
   sol.stats.cuts_gomory_separated = ctx.gomory_separated.load();
@@ -2123,7 +2041,6 @@ Solution Solver::solve_impl(const Model& input,
       if (!root_lp) root_lp.emplace(reduced, Worker::simplex_options(options_));
       SimplexSolver& audit_lp = *root_lp;
       audit_lp.set_controller(nullptr);  // the audit itself always finishes
-      audit_lp.set_max_iterations(lp::SimplexOptions{}.max_iterations);
       audit_lp.refresh_factorization();
       const LpResult alp = audit_lp.solve();
       sol.stats.audit_lp_iterations = alp.iterations;

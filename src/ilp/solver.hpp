@@ -78,7 +78,6 @@ enum class SolveStatus {
 struct Options {
   double time_limit_seconds = 60.0;
   long long node_limit = -1;  ///< <0: unlimited
-  double integrality_tol = 1e-6;
   bool use_presolve = true;
   bool use_rounding_heuristic = true;
   // --- cut-and-bound knobs ---
@@ -110,8 +109,6 @@ struct Options {
   bool odd_cycle_cuts = false;
   /// In-tree separation every N nodes per worker (0 disables).
   int cut_node_interval = 16;
-  /// Cut-pool capacity; least-active unapplied cuts are evicted beyond it.
-  int max_pool_cuts = 1024;
   /// Optional per-variable branching priority (larger = branch earlier).
   /// Empty means uniform.
   std::vector<int> branch_priority;
@@ -145,19 +142,9 @@ struct Options {
   /// and a direction whose probe proves LP-infeasible fixes the variable
   /// the other way globally.
   int strong_branch_vars = 12;
-  /// Simplex iteration cap per strong-branching probe re-solve (a probe
-  /// that runs out is simply not recorded).
-  int strong_branch_lp_iters = 200;
-  /// Observations (across ALL workers; the store is shared) a
-  /// variable+direction needs before its own pseudocost average is trusted
-  /// alone; below the threshold the estimate is blended towards the global
-  /// average, so one worker's early outlier cannot steer every other
-  /// worker's branching. Strong-branch seeds count as `pseudocost_reliability`
-  /// observations, so probed variables are reliable from node one.
-  int pseudocost_reliability = 2;
   /// Global budget of in-tree reliability probes (`--rel-probes N`, 0
   /// disables). At a node whose branching candidates still have fewer than
-  /// `pseudocost_reliability` observations, workers run iteration-capped
+  /// kPseudocostReliability observations, workers run iteration-capped
   /// dual-simplex probes on the node's warm basis — the same bounded
   /// probes as root strong branching, recorded at full reliability weight
   /// — drawing from this shared budget. The per-node allowance decays
@@ -203,7 +190,6 @@ struct Options {
   /// pre-presolve model). A snapshot failing ANY check degrades to a cold
   /// start with Stats::resume_rejected counted — never a wrong proof.
   std::string resume_path;
-  bool verbose = false;
 };
 
 struct Stats {
@@ -223,8 +209,8 @@ struct Stats {
   double seconds = 0.0;
   double best_bound = -lp::kInfinity;  ///< proven lower bound (minimization)
   /// Variables with lower == upper once presolve + probing finished. Counts
-  /// the final state (including variables the input model already fixed,
-  /// as it always has); probing_fixed below attributes probing's share.
+  /// the final state, including variables the input model already fixed;
+  /// probing_fixed below attributes probing's share.
   int presolve_fixed = 0;
   int presolve_redundant_rows = 0;
   /// Rows actually dropped from the LP (redundant + became constant).
@@ -256,9 +242,9 @@ struct Stats {
   double root_gap_closed = 0.0;
   int threads = 1;  ///< worker threads actually used
   /// Why the solve stopped early (kNone: ran to its natural conclusion).
-  /// Replaces the old hit_time_limit boolean — the reason is latched by
-  /// the controller the first time any layer (down to the LP pivot loops)
-  /// trips a limit, so the reported status is honest about the cause.
+  /// The controller latches the reason the first time any layer (down to
+  /// the LP pivot loops) trips a limit, so the reported status names the
+  /// cause.
   util::StopReason termination = util::StopReason::kNone;
   // --- per-phase wall clock (seconds; sums to ~seconds) ---
   double presolve_seconds = 0.0;       ///< presolve + probing + reduction

@@ -11,10 +11,14 @@
 
 namespace advbist::ilp {
 
+/// Distance from an integer within which an LP value counts as integral:
+/// branching, probing and diving skip such variables.
+inline constexpr double kIntegralityTol = 1e-6;
+
 /// Guard for rounding real bounds to integer bounds: ceil(lo - kIntEps),
-/// floor(hi + kIntEps). Matches the solver's default integrality tolerance
-/// so presolve never fixes a variable the search would still branch on.
-inline constexpr double kIntEps = 1e-6;
+/// floor(hi + kIntEps). Matches kIntegralityTol so presolve never fixes a
+/// variable the search would still branch on.
+inline constexpr double kIntEps = kIntegralityTol;
 
 /// Bound-comparison tolerance: lo > hi + kBoundEps means crossed (empty
 /// domain); changes smaller than this are not worth recording.

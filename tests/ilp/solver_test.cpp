@@ -94,6 +94,29 @@ TEST(IlpSolver, InfeasibleByPresolve) {
   EXPECT_EQ(Solver().solve(m).status, SolveStatus::kInfeasible);
 }
 
+TEST(IlpSolver, InfeasibleRootLpReportsItsLpWork) {
+  // x1 > x2 > x3 > x1 by 0.1 each: the cycle sums to 0 >= 0.3. Bound
+  // propagation would need ~1e5 passes to cross the [0, 1e4] boxes, so
+  // presolve lets it through and the root LP refutes it. The early return
+  // must still report the pivots and factorizations it paid for.
+  Model m;
+  const int x1 = m.add_variable(0, 1e4, 0, lp::VarType::kContinuous, "x1");
+  const int x2 = m.add_variable(0, 1e4, 0, lp::VarType::kContinuous, "x2");
+  const int x3 = m.add_variable(0, 1e4, 0, lp::VarType::kContinuous, "x3");
+  const int w = m.add_binary(1, "w");
+  m.add_constraint(LinExpr().add(x1, 1).add(x2, -1), Sense::kGreaterEqual,
+                   0.1);
+  m.add_constraint(LinExpr().add(x2, 1).add(x3, -1), Sense::kGreaterEqual,
+                   0.1);
+  m.add_constraint(LinExpr().add(x3, 1).add(x1, -1), Sense::kGreaterEqual,
+                   0.1);
+  m.add_constraint(LinExpr().add(w, 1).add(x1, 1), Sense::kGreaterEqual, 0.5);
+  const Solution s = Solver().solve(m);
+  EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+  EXPECT_GT(s.stats.lp_iterations, 0);
+  EXPECT_GT(s.stats.lp_refactorizations, 0);
+}
+
 TEST(IlpSolver, InfeasibleIntegerOnlyDetectedBySearch) {
   // LP feasible (x=0.5) but no integer point: 2x = 1.
   Model m;
