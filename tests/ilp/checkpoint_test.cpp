@@ -112,12 +112,16 @@ TEST(CheckpointResume, PeriodicSnapshotsFromALiveSearchResumeCorrectly) {
   clean.branch_priority = inst.priority;
   const Solution ref = Solver(clean).solve(inst.model);
   ASSERT_EQ(ref.status, SolveStatus::kOptimal);
+  ASSERT_GT(ref.stats.nodes, 4);
 
   const std::string path = temp_path("periodic.ck");
   std::remove(path.c_str());
   Options stop;
   stop.branch_priority = inst.priority;
   stop.num_threads = 2;
+  // Half the reference tree stops the search mid-flight however fast the
+  // machine is; the deadline only bounds the run where it is slow.
+  stop.node_limit = ref.stats.nodes / 2;
   stop.time_limit_seconds = 0.4;
   stop.checkpoint_path = path;
   stop.checkpoint_interval_seconds = 0.02;  // force mid-search captures
